@@ -6,7 +6,9 @@
 #                  (pytest -m stress overrides the addopts exclusion).
 #   make chaos   — the adversarial-debuggee do-no-harm sweep in
 #                  tests/chaos (each scenario across ≥10 seeds).
-#   make check   — all three tiers.
+#   make flake   — the integration tier ten times in a row under CPU
+#                  contention; one red run fails the target.
+#   make check   — the first three tiers.
 #
 # Every target is wall-clock bounded so a wedged scenario kills the run
 # instead of the CI job.
@@ -23,7 +25,7 @@ TEST_TIMEOUT ?= 120
 
 BENCH_LIMIT ?= 900
 
-.PHONY: test stress chaos check lint-hotpath bench bench-json bench-trace bench-fleet bench-fork
+.PHONY: test stress chaos flake check lint-hotpath bench bench-json bench-trace bench-fleet bench-fork
 
 test:
 	timeout $(TIER1_LIMIT) env PYTHONPATH=$(PYTHONPATH) \
@@ -40,6 +42,24 @@ stress:
 chaos:
 	timeout $(CHAOS_LIMIT) env PYTHONPATH=$(PYTHONPATH) \
 		DIONEA_TEST_TIMEOUT=$(TEST_TIMEOUT) $(PYTHON) -m pytest tests/chaos -m chaos
+
+# Flake hunt: a flake is a bug with a reproduction loop.  Two busy-loop
+# processes keep a two-core CI runner contended while the integration
+# tier runs ten times, so thread hand-offs (heartbeats, parks, reactor
+# wake-ups) race the way a loaded host makes them race.
+flake:
+	timeout 3600 sh -c ' \
+		hogs=""; \
+		for i in 1 2; do \
+			$(PYTHON) -c "while True: pass" & hogs="$$hogs $$!"; \
+		done; \
+		trap "kill $$hogs 2>/dev/null" EXIT INT TERM; \
+		for run in $$(seq 10); do \
+			echo "flake: run $$run of 10"; \
+			env PYTHONPATH=$(PYTHONPATH) \
+				DIONEA_TEST_TIMEOUT=$(TEST_TIMEOUT) \
+				$(PYTHON) -m pytest -x tests/integration || exit 1; \
+		done'
 
 # Hot-path discipline: the tracing/forkhooks/mp/obs packages must never
 # import stdlib `logging` (module lock + eager formatting + I/O).

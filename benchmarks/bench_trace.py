@@ -10,15 +10,15 @@ Three experiments, one JSON artifact (``BENCH_trace.json``):
    compute loop timed normal vs attached.  This isolates the engine's
    quiet cost on the thread that used to pay the most (on CPython 3.11+
    a mere per-thread trace hook disables the specializing interpreter);
-   with the settrace backend's main-thread demotion the hook is
-   physically gone while quiet.  The acceptance bound is ≤ 15%
+   with the engine's main-thread demotion the hook is physically gone
+   while quiet.  The acceptance bound is ≤ 15%
    (Makefile-gated).
 3. **Armed-with-irrelevant-breakpoint** (informational): the same
    compute loop with one breakpoint set in a file that never executes.
    The engine is armed — the hook is back, the specializer is off — but
    every call resolves through the LineTable probe
    (``trace.fastpath_hits``).  This is the honest price of *being about
-   to debug* on 3.11; the PEP 669 backend exists to erase it on 3.12+.
+   to debug* on 3.11.
 
 Best-of-N timing on all comparisons: the minimum is the run least
 perturbed by the OS, which is the quantity a fixed-cost bound is about.
@@ -76,7 +76,6 @@ def attach_arm(profile_name: str, repeats: int) -> dict:
         run()  # let the quiet main thread demote before timing
         debugging = measure_arm(run, repeats)
         state = {
-            "backend": engine.backend_name,
             "fastpath": engine.fastpath,
             "main_demoted": engine._main_demoted,  # noqa: SLF001
             "event_count": engine.event_count,
@@ -155,7 +154,6 @@ def main(argv=None) -> int:
     print(f"  attached:  best {attach['debugging']['best']:8.3f}s")
     print(f"  overhead:  {attach['overhead_percent']:+6.2f}% "
           f"(budget {args.attach_budget_percent:.1f}%; "
-          f"backend={attach['engine']['backend']}, "
           f"demoted={attach['engine']['main_demoted']})")
 
     print("bench-trace: armed-with-irrelevant-breakpoint arm ...",
@@ -169,7 +167,6 @@ def main(argv=None) -> int:
     attach_ok = attach["overhead_percent"] <= args.attach_budget_percent
     document = {
         "benchmark": "trace-dispatch",
-        "backend": attach["engine"]["backend"],
         "fastpath": attach["engine"]["fastpath"],
         "section7_pair": {
             "profile": pair.profile,

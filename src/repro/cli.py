@@ -45,7 +45,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"dionea: port file {dionea.portfile.path}", file=sys.stderr)
     if args.wait_client:
         print("dionea: waiting for a client ...", file=sys.stderr)
-        while dionea.server._listener.command_connection() is None:  # noqa: SLF001
+        while not dionea.server.client_attached:
             time.sleep(0.05)
     saved_argv = sys.argv
     sys.argv = [args.program] + list(args.args)

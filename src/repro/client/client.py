@@ -27,8 +27,8 @@ from ..tracing.frames import StackCapture
 from ..util.errors import ReproError, SessionError, ViewError
 from ..util.ids import IdAllocator, UEId
 from ..util.portfile import PortFile, PortFileWatcher, PortRecord, pid_alive
+from ..util.reactor import Reactor
 from ..util.ringlog import debug_event
-from .reactor import ClientReactor
 from .session import DebugSession, PendingCall
 from .view import DebugView
 
@@ -40,7 +40,7 @@ STOP_HISTORY_LIMIT = 1024
 class DebugClient:
     """1 client : N servers session manager.
 
-    All sessions share ONE :class:`~repro.client.reactor.ClientReactor`:
+    All sessions share ONE :class:`~repro.util.reactor.Reactor`:
     the client costs two threads total (loop + dispatcher) no matter how
     many debuggees are attached — the property the fleet benchmark
     gates on.
@@ -84,7 +84,7 @@ class DebugClient:
         #: jitter decorrelates a fleet of clients redialing one server
         self._reattach_rng = random.Random()
         #: one selector loop for every session's sockets
-        self.reactor = ClientReactor()
+        self.reactor = Reactor()
         #: recent stop notifications in arrival order (bounded tail)
         self.stop_history: List[DebugView] = []
         #: monotonic count of every stop ever routed — what

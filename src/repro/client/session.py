@@ -8,7 +8,9 @@ Each session owns the client side of the paper's socket layout: the
 **command** connection (requests, responses, asynchronous events) and the
 **source** connection (source-sync requests only, strictly
 request/response).  Both sockets are multiplexed onto a shared
-:class:`~repro.client.reactor.ClientReactor` — no per-session threads.
+:class:`~repro.util.reactor.Reactor` — no per-session threads.  Each
+channel's first frame is the server's hello_ack, read through the same
+decoder the channel keeps for the rest of the session.
 Responses correlate to pending requests by id, which also gives the
 session **pipelining**: any number of requests may be in flight at once
 (:meth:`DebugSession.request_async`), completing out of order as the
@@ -33,13 +35,13 @@ from ..util.errors import (
     CommandError,
     FramingError,
     HandshakeError,
+    ReproError,
     RequestTimeoutError,
     SessionError,
     SessionLostError,
 )
-from ..util.framing import recv_frame
 from ..util.ids import UEId
-from .reactor import Channel, ClientReactor
+from ..util.reactor import Channel, Reactor
 
 
 class PendingCall:
@@ -135,7 +137,7 @@ class DebugSession:
                  heartbeat_interval: float = 2.0,
                  heartbeat_misses: int = 3,
                  resume_token: Optional[str] = None,
-                 reactor: Optional[ClientReactor] = None):
+                 reactor: Optional[Reactor] = None):
         self.host = host
         self.port = port
         self.session_id = session_id
@@ -175,65 +177,95 @@ class DebugSession:
         # The shared loop (one per client); a standalone session builds
         # a private one so the constructor keeps working without a
         # DebugClient around it.
-        self._reactor = reactor if reactor is not None else ClientReactor(
+        self._reactor = reactor if reactor is not None else Reactor(
             name=f"dionea-reactor-{session_id}")
         self._owns_reactor = reactor is None
+        #: hello_acks, resolved on the reactor thread from each channel's
+        #: first frame (None: the channel closed first)
+        self._acks: Dict[str, Optional[Any]] = {}
+        self._acked = threading.Condition()
 
+        # Dial both channels (the paper's command and source sockets),
+        # then hand them to the loop at once: every event the command
+        # channel delivers finds the whole session in place.
         token = f"client-{session_id}"
-        # Command channel first: its hello_ack carries the debuggee
-        # identity.  The handshake is the one blocking exchange; after
-        # it, the socket is handed to the reactor and never blocks again.
-        self._command_sock = connect_endpoint(
-            host, port, protocol.ROLE_COMMAND, pid=0,
-            session_token=token, timeout=connect_timeout,
-            resume_token=resume_token)
-        ack = recv_frame(self._command_sock)
-        if not isinstance(ack, dict) or ack.get("type") != "hello_ack":
-            self._command_sock.close()
-            if self._owns_reactor:
-                self._reactor.close()
-            raise HandshakeError(f"bad hello_ack from {host}:{port}: {ack!r}")
-        self.pid: int = ack["pid"]
-        self.parent_pid: int = ack["parent_pid"]
-        self.program: Optional[str] = ack.get("program")
-        self.main_thread: int = ack.get("main_thread", 0)
-        #: the server's token epoch — present it as ``resume_token`` to
-        #: reclaim this session after a client restart
-        self.session_token: Optional[str] = ack.get("session_token")
-        self.resumed: bool = bool(ack.get("resumed", False))
-
-        # Source-sync channel (the paper's second data socket).
+        sockets: List[socket.socket] = []
         try:
-            self._source_sock = connect_endpoint(
-                host, port, protocol.ROLE_SOURCE, pid=0,
-                session_token=token, timeout=connect_timeout)
-            src_ack = recv_frame(self._source_sock)
-        except (OSError, FramingError):
-            self._command_sock.close()
+            for role in (protocol.ROLE_COMMAND, protocol.ROLE_SOURCE):
+                sockets.append(connect_endpoint(
+                    host, port, role, pid=0, session_token=token,
+                    timeout=connect_timeout,
+                    resume_token=(resume_token
+                                  if role == protocol.ROLE_COMMAND
+                                  else None)))
+        except (OSError, ReproError):
+            for sock in sockets:
+                sock.close()
             if self._owns_reactor:
                 self._reactor.close()
             raise
-        if not isinstance(src_ack, dict) or src_ack.get("type") != "hello_ack":
-            self._command_sock.close()
-            self._source_sock.close()
-            if self._owns_reactor:
-                self._reactor.close()
-            raise HandshakeError("bad hello_ack on source channel")
-
-        # Hand both sockets to the loop; from here on, all I/O is
-        # non-blocking and every callback below runs on reactor threads.
         self._cmd_channel: Channel = self._reactor.register(
-            self._command_sock, self._on_command_messages,
-            self._on_command_closed, label=f"cmd-{self.pid}")
+            sockets[0], self._on_command_messages,
+            self._on_command_closed, label=f"cmd-{port}")
         self._src_channel: Channel = self._reactor.register(
-            self._source_sock, self._on_source_messages,
-            self._on_source_closed, label=f"src-{self.pid}")
+            sockets[1], self._on_source_messages,
+            self._on_source_closed, label=f"src-{port}")
+        ack = self._await_ack("cmd", connect_timeout)
+        src_ack = self._await_ack("src", connect_timeout)
+        for what, got in (("command", ack), ("source", src_ack)):
+            if not isinstance(got, dict) or got.get("type") != "hello_ack":
+                self._abort_handshake()
+                raise HandshakeError(
+                    f"bad hello_ack on {what} channel from "
+                    f"{host}:{port}: {got!r}")
 
         self._hb_timer = None
         if self.heartbeat_interval > 0:
             self._last_pong = time.monotonic()
             self._hb_timer = self._reactor.call_later(
                 self.heartbeat_interval, self._heartbeat_tick)
+
+    # -- handshake ----------------------------------------------------------------
+
+    def _resolve_ack(self, which: str, message: Optional[Any]) -> bool:
+        """Reactor thread: record a channel's first frame (or its loss).
+        Returns False once the handshake is over for *which*."""
+        with self._acked:
+            if which in self._acks:
+                return False
+            if (which == "cmd" and isinstance(message, dict)
+                    and message.get("type") == "hello_ack"):
+                # Identity lands before any event is deferred behind it.
+                self.pid = message["pid"]
+                self.parent_pid = message["parent_pid"]
+                self.program = message.get("program")
+                self.main_thread = message.get("main_thread", 0)
+                #: the server's token epoch — present it as
+                #: ``resume_token`` to reclaim this session after a
+                #: client restart
+                self.session_token = message.get("session_token")
+                self.resumed = bool(message.get("resumed", False))
+            self._acks[which] = message
+            self._acked.notify_all()
+            return True
+
+    def _await_ack(self, which: str, timeout: float) -> Optional[Any]:
+        with self._acked:
+            arrived = self._acked.wait_for(lambda: which in self._acks,
+                                           timeout)
+        if not arrived:
+            self._abort_handshake()
+            raise HandshakeError(
+                f"no hello_ack on {which} channel within "
+                f"{timeout:.1f}s from {self.host}:{self.port}")
+        return self._acks[which]
+
+    def _abort_handshake(self) -> None:
+        self._closed.set()
+        self._reactor.close_channel(self._cmd_channel)
+        self._reactor.close_channel(self._src_channel)
+        if self._owns_reactor:
+            self._reactor.close()
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -307,6 +339,8 @@ class DebugSession:
                 protocol.make_request(request_id, command, args,
                                       trace=call._span.context.to_wire()))
         except (OSError, FramingError) as exc:
+            # A failed send never waits: the channel is closed (dead or
+            # slow peer) and the session is lost with the reason.
             self._forget(request_id)
             call._finish_span("send-failed")
             raise SessionLostError(f"send failed: {exc}") from exc
@@ -385,7 +419,10 @@ class DebugSession:
 
     # -- reactor callbacks (reactor thread; must not block) ---------------------------
 
-    def _on_command_messages(self, messages: List[dict]) -> None:
+    def _on_command_messages(self, channel: Channel,
+                             messages: List[dict]) -> None:
+        if "cmd" not in self._acks and self._resolve_ack("cmd", messages[0]):
+            messages = messages[1:]
         for message in messages:
             if not isinstance(message, dict):
                 continue
@@ -405,21 +442,32 @@ class DebugSession:
                 self._reactor.defer(
                     lambda m=message: self._deliver_event(m))
 
-    def _on_source_messages(self, messages: List[dict]) -> None:
+    def _on_source_messages(self, channel: Channel,
+                            messages: List[dict]) -> None:
+        if "src" not in self._acks and self._resolve_ack("src", messages[0]):
+            messages = messages[1:]
         for message in messages:
             if isinstance(message, dict) and message.get("type") == "response":
                 self._complete(message)
 
-    def _on_command_closed(self, reason: Optional[BaseException]) -> None:
+    def _on_command_closed(self, channel: Channel,
+                           reason: Optional[BaseException]) -> None:
+        if self._resolve_ack("cmd", None):
+            return  # closed during the handshake: the dialer reports it
         if not self._closed.is_set() and not self._server_exited:
             # The stream died under us with no farewell: a crashed or
-            # SIGKILLed server.  Fail pending requests *now* — their
+            # SIGKILLed server, or a peer that stopped reading past the
+            # high-water mark.  Fail pending requests *now* — their
             # deadlines would only add latency to a known-dead peer.
-            self.declare_lost("command channel closed unexpectedly")
+            self.declare_lost("command channel closed unexpectedly"
+                              + (f": {reason}" if reason else ""))
         else:
             self.close()
 
-    def _on_source_closed(self, reason: Optional[BaseException]) -> None:
+    def _on_source_closed(self, channel: Channel,
+                          reason: Optional[BaseException]) -> None:
+        if self._resolve_ack("src", None):
+            return
         # A dead source channel fails any in-flight source fetch at
         # once; the session itself lives or dies by the command channel.
         with self._pending_lock:

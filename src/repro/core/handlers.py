@@ -83,9 +83,8 @@ def install_dionea_handlers(
         sync_registry.take_ownership()
         # A — disable tracing across the fork: a trace stop between fork
         # and the child's new listener thread would park a UE that no one
-        # could ever release.  disable() routes through the engine's
-        # TraceBackend seam (settrace: flag check; sys.monitoring: event
-        # mask zeroed) so both backends go dark for the fork window.
+        # could ever release.  disable() makes every dispatch return at
+        # its first flag check for the fork window.
         engine.disable()
         debug_event("handlers", "phase A complete (locks held, trace off)")
 
@@ -108,8 +107,7 @@ def install_dionea_handlers(
             disturb.reset_after_fork()
         # "register the thread that called fork as the main thread":
         # reset_after_fork() drops inherited per-thread state AND the
-        # LineTable verdicts, then re-installs event delivery through
-        # the backend seam (TraceBackend.reinstall_after_fork) — the
+        # LineTable verdicts, then re-installs the trace hooks — the
         # forker becomes the main thread the re-arm signal targets.
         engine.reset_after_fork()
         server.reinit_after_fork()

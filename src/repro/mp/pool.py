@@ -210,8 +210,7 @@ class Pool:
         for worker in self._workers:
             worker.join(timeout)
         self.result_queue.put(_STOP)
-        self._collector.join(timeout or 5.0)
-        self._ready.close()
+        self._release_queues(timeout or 5.0)
 
     def terminate(self) -> None:
         self._closed = True
@@ -224,6 +223,15 @@ class Pool:
             self.result_queue.put(_STOP)
         except Exception:  # noqa: BLE001 - queue may already be closed
             pass
+        self._release_queues(1.0)
+
+    def _release_queues(self, timeout: float) -> None:
+        """Close both queues' pipes once the collector has stopped
+        reading them (a collector that outlives *timeout* keeps them)."""
+        self._collector.join(timeout)
+        if not self._collector.is_alive():
+            self.task_queue.close()
+            self.result_queue.close()
         self._ready.close()
 
     def worker_pids(self) -> List[int]:

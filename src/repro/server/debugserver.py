@@ -9,8 +9,10 @@ Composition:
 
 * a :class:`~repro.tracing.engine.TraceEngine` hooked into the
   interpreter's tracing facility;
-* a :class:`~repro.server.listener.Listener` (the dedicated Reactor
-  thread) on an ephemeral TCP port;
+* a :class:`~repro.util.reactor.Reactor` (the dedicated listener
+  thread) serving an ephemeral TCP port: the accept socket, hello/role
+  routing, the inline pong and request dispatch are its callbacks, and
+  events leave through each channel's bounded write buffer;
 * a :class:`~repro.server.sessionstate.SessionState` (the Fig. 4
   metadata block);
 * optional rendezvous through a :class:`~repro.util.portfile.PortFile`
@@ -25,11 +27,12 @@ making it inconsistent"*.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import time
 import traceback
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from time import perf_counter as _perf_counter
 
@@ -43,14 +46,16 @@ from ..tracing.control import UEController
 from ..tracing.engine import TraceEngine
 from ..tracing.frames import StackCapture
 from ..util.errors import CommandError, ProtocolError, ReproError
+from ..util.framing import RecvBuffer, SendBuffer
 from ..util.ids import UEId
 from ..util.portfile import PortFile, PortRecord
+from ..util.reactor import Channel, Reactor, Timer
 from ..util.ringlog import debug_event
 from . import protocol
 from .commands import dispatch
-from .listener import Listener
 from .sessionstate import SessionState
-from .sockets import Connection, ListenEndpoint
+from .sockets import ListenEndpoint
+from .watchdog import ServerWatchdog
 
 
 class DebugServer:
@@ -71,8 +76,8 @@ class DebugServer:
         #: held for this many seconds awaiting a reattach before the
         #: server falls back to ``release_all`` (<= 0: release at once).
         self.client_loss_grace = client_loss_grace
-        self._grace_timer: Optional[threading.Timer] = None
-        self._grace_lock = threading.Lock()
+        #: the pending grace, a timer on the reactor's wheel
+        self._grace_timer: Optional[Timer] = None
         self._host = host
         self._requested_port = port
         self.engine = TraceEngine(
@@ -92,14 +97,17 @@ class DebugServer:
         self.output_capture = OutputCapture(on_output=self._on_output)
         self.input_feed = InputFeed()
         self._endpoint: Optional[ListenEndpoint] = None
-        self._listener: Optional[Listener] = None
+        self._reactor: Optional[Reactor] = None
+        #: the one command channel (1 server : 1 client, section 4.1);
+        #: written on the reactor thread, read by any emitting thread
+        self._command: Optional[Channel] = None
         #: lazily created by the profile_start command
         self.profiler = None
         self._last_stops: Dict[UEId, dict] = {}
         self._stops_lock = threading.Lock()
         self._started = False
-        #: wedge monitor; created in start() unless DIONEA_WATCHDOG=0
-        self.watchdog = None
+        #: wedge monitor; created in start()
+        self.watchdog: Optional[ServerWatchdog] = None
         #: called (with the reason) after a degraded-mode detach so the
         #: facade can take down the rest of the debugger (fork patcher,
         #: handler registrations) — the server only owns its own half.
@@ -123,23 +131,14 @@ class DebugServer:
               announce: bool = True) -> None:
         if self._started:
             raise ReproError("debug server already started")
-        self._endpoint = ListenEndpoint(self._host, self._requested_port)
-        self._listener = Listener(
-            self._endpoint,
-            on_request=self._handle_request,
-            on_hello=self._handle_hello,
-            on_disconnect=self._handle_disconnect,
-        )
-        self._listener.start()
+        self._open_transport(self._requested_port)
         if install_tracing and not self.engine.installed:
             self.engine.install()
         if self._capture_io and not self.output_capture.installed:
             self.output_capture.install()
         self._started = True
-        from .watchdog import ServerWatchdog, watchdog_enabled
-        if watchdog_enabled():
-            self.watchdog = ServerWatchdog(self)
-            self.watchdog.start()
+        self.watchdog = ServerWatchdog(self)
+        self.watchdog.start()
         if announce and self.portfile is not None:
             self.announce()
         debug_event("server", f"debug server up on port {self.port}")
@@ -155,6 +154,22 @@ class DebugServer:
             port=self.port,
             created_at=time.time(),
         ))
+
+    def _open_transport(self, port: int) -> None:
+        """A fresh endpoint on a fresh reactor ("create a listener
+        thread"): the accept socket is the reactor's first reader."""
+        endpoint = ListenEndpoint(self._host, port)
+        reactor = Reactor(name=f"dionea-listener-{endpoint.port}",
+                          side="server")
+        self._endpoint, self._reactor, self._command = \
+            endpoint, reactor, None
+        reactor.add_reader(endpoint, functools.partial(
+            self._on_accept, reactor, endpoint))
+
+    @property
+    def client_attached(self) -> bool:
+        """True while a command client holds this debuggee."""
+        return self._command is not None
 
     def close(self) -> None:
         self._shutdown(protocol.make_event(protocol.EV_SERVER_EXIT,
@@ -218,48 +233,35 @@ class DebugServer:
             self.input_feed.uninstall()
         if self.engine.installed:
             self.engine.uninstall()  # also releases every parked UE
-        if self._listener is not None:
-            try:
-                # Best-effort farewell: a peer that died first must not
-                # turn an orderly shutdown into a crash.
-                if farewell is not None:
-                    self._listener.broadcast_event(farewell)
-            except Exception:  # noqa: BLE001
-                # Contained, but never silently: the satellite rule —
-                # count it and keep the traceback diagnosable.
-                obs_metrics.inc("server.loop_errors")
-                debug_event("server",
-                            "farewell broadcast failed; closing anyway\n"
-                            + traceback.format_exc())
-            self._listener.close()
-            self._listener = None
-        self._endpoint = None
+        reactor = self._reactor
+        if reactor is not None:
+            # Best-effort farewell: a peer that died first only makes
+            # the send report False.
+            if farewell is not None:
+                self._broadcast(farewell)
+            reactor.close()
+        self._reactor = self._endpoint = self._command = None
 
     def heal_listener(self, why: str) -> None:
-        """Abandon a dead/wedged listener and start a replacement.
+        """Abandon a dead/wedged reactor and start a replacement.
 
-        Python cannot kill a wedged thread, so the old listener is cut
-        loose: its sockets are closed out from under it (unwedging
-        anything blocked on them — the loop then exits on the dead
-        selector) and a fresh listener takes over on a fresh port.  The
-        re-announce puts the same pid on a new port in the rendezvous
-        file; the client's watcher treats that as a redial.
+        Python cannot kill a wedged thread, so the old reactor is cut
+        loose: its sockets are closed out from under it (the attached
+        client sees EOF) and a fresh reactor takes over on a fresh port.
+        The re-announce puts the same pid on a new port in the
+        rendezvous file; the client's watcher treats that as a redial.
+        A client cut loose here is a lost client: the loss grace runs on
+        the new reactor.
         """
-        old = self._listener
+        old = self._reactor
         if old is not None:
-            # Don't linger on the join: a wedged thread will not oblige.
-            old.stop(timeout=0.2)
-            for conn in old.connections():
-                conn.close()
-            old.endpoint.close()
-        self._endpoint = ListenEndpoint(self._host, 0)
-        self._listener = Listener(
-            self._endpoint,
-            on_request=self._handle_request,
-            on_hello=self._handle_hello,
-            on_disconnect=self._handle_disconnect,
-        )
-        self._listener.start()
+            old.abandon()
+        lost_client = (self._command is not None
+                       or self._grace_timer is not None)
+        self._cancel_grace_timer()
+        self._open_transport(0)
+        if lost_client and self._started:
+            self._begin_grace("listener healed")
         if self.portfile is not None:
             self.announce()
         debug_event("server", f"listener healed ({why}): "
@@ -274,20 +276,83 @@ class DebugServer:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- connection policy ----------------------------------------------------------
+    # -- transport callbacks (reactor thread; must not block) ------------------
 
-    def _handle_hello(self, conn: Connection, hello: dict) -> None:
+    def _on_accept(self, reactor: Reactor, endpoint: ListenEndpoint) -> None:
+        """The accept socket is readable: adopt one connection."""
+        try:
+            sock, address = endpoint.accept()
+        except OSError:
+            return
+        reactor.register(sock, self._on_messages, self._handle_disconnect,
+                         label=f"conn-{address[1]}",
+                         recvbuf=RecvBuffer("server.listener.recv"),
+                         sendbuf=SendBuffer("server.conn.send"))
+        debug_event("listener", f"accepted connection from {address}")
+
+    def _on_messages(self, channel: Channel, messages: List[Any]) -> None:
+        """Route one batch of frames: hello first, then pings/requests."""
+        for message in messages:
+            if channel.closed:
+                return
+            try:
+                if channel.role is None:
+                    protocol.validate_hello(message)
+                    channel.role = message["role"]
+                    self._handle_hello(channel, message)
+                elif protocol.message_type(message) == "ping":
+                    self._handle_ping(channel, message)
+                else:
+                    protocol.validate_request(message)
+                    self._contain_request(channel, message)
+            except ProtocolError as exc:
+                debug_event("listener",
+                            f"protocol error on {channel.label}: {exc}")
+                channel.reactor.close_channel(channel)
+                return
+
+    def _contain_request(self, channel: Channel, message: dict) -> None:
+        try:
+            self._handle_request(channel, message)
+        except Exception as exc:  # noqa: BLE001 - reactor must survive
+            # Containment is right (the reactor must survive), silence
+            # is not: count it and keep the traceback diagnosable.
+            obs_metrics.inc("server.loop_errors")
+            debug_event("listener",
+                        f"request handler raised {exc!r}\n"
+                        + traceback.format_exc())
+            self._send(channel, protocol.make_error(
+                message.get("id", -1),
+                f"internal error: {type(exc).__name__}: {exc}",
+                kind="InternalError"))
+
+    def _send(self, channel: Channel, message: dict) -> bool:
+        """Frame *message* onto *channel*; False if the peer is gone.
+
+        Never raises into a trace callback and never waits: a dead or
+        slow peer is the reactor's to close, and its ``on_closed``
+        (:meth:`_handle_disconnect`) starts the client-loss grace.
+        """
+        try:
+            channel.reactor.submit(channel, message)
+            return True
+        except OSError:
+            return False
+
+    def _broadcast(self, message: dict) -> bool:
+        """Send an event to the command client, if one is attached."""
+        channel = self._command
+        return channel is not None and self._send(channel, message)
+
+    def _handle_hello(self, channel: Channel, hello: dict) -> None:
         resumed = False
-        if (conn.role == protocol.ROLE_COMMAND
-                and self._listener is not None):
-            existing = [c for c in self._listener.connections(
-                protocol.ROLE_COMMAND) if c is not conn]
-            if existing:
+        if channel.role == protocol.ROLE_COMMAND:
+            current = self._command
+            if current is not None and not current.closed:
                 # 1 server : 1 client (paper section 4.1).
-                conn.send(protocol.make_error(
+                self._send(channel, protocol.make_error(
                     -1, "another client already controls this debuggee",
                     kind="SessionError"))
-                conn.close()
                 raise ProtocolError("second command client refused")
             resume_token = hello.get("resume_token")
             if resume_token is not None:
@@ -297,17 +362,17 @@ class DebugServer:
                     # different process on a recycled port).  A stale
                     # client driving this debuggee would corrupt both
                     # sessions, so it is refused like a second client.
-                    conn.send(protocol.make_error(
+                    self._send(channel, protocol.make_error(
                         -1, "stale session token: this debuggee is "
                             f"epoch {self.session.epoch}",
                         kind="SessionError"))
-                    conn.close()
                     raise ProtocolError("stale reattach token refused")
                 resumed = True
+            self._command = channel
             # A command client (fresh or resuming) is back: whatever loss
             # grace was pending is void.
             self._cancel_grace_timer()
-        conn.send(protocol.make_hello_ack(
+        self._send(channel, protocol.make_hello_ack(
             pid=self.session.pid,
             parent_pid=self.session.parent_pid,
             program=self.session.program,
@@ -315,7 +380,7 @@ class DebugServer:
             session_token=self.session.session_token,
             resumed=resumed,
         ))
-        if conn.role == protocol.ROLE_COMMAND:
+        if channel.role == protocol.ROLE_COMMAND:
             # Replay stops that happened before the client connected — a
             # forked child may hit an inherited breakpoint in the window
             # between its announce and the client's dial (Fig. 6), and a
@@ -323,45 +388,62 @@ class DebugServer:
             with self._stops_lock:
                 replay = list(self._last_stops.items())
             for ue, wire in replay:
-                conn.send(protocol.make_event(
+                self._send(channel, protocol.make_event(
                     protocol.EV_STOPPED,
                     {"ue": protocol.ue_to_wire(ue), "capture": wire,
                      "session_token": self.session.session_token}))
 
-    def _handle_disconnect(self, conn: Connection) -> None:
-        if conn.role != protocol.ROLE_COMMAND:
+    def _handle_ping(self, channel: Channel, message: dict) -> None:
+        """Heartbeat: ack a client ping inline on the reactor thread.
+
+        Answering here (not in the command table) is deliberate: a pong
+        proves the *reactor* is alive and draining its socket, which is
+        exactly the liveness property the client's heartbeat monitor
+        wants to measure.
+
+        Injection point ``server.heartbeat.pong``: a ``delay`` fault
+        stalls the reactor before acking (a frozen server); any other
+        fault swallows the pong (a lossy/black-holed ack path).  Both
+        starve the client of beats without touching the TCP stream.
+        """
+        fault = faults.fire("server.heartbeat.pong")
+        if fault is not None:
+            if fault.kind == "delay":
+                fault.apply()
+            else:
+                return
+        seq = message.get("seq", 0)
+        self._send(channel, protocol.make_pong(
+            seq if isinstance(seq, int) else 0))
+
+    def _handle_disconnect(self, channel: Channel,
+                           reason: Optional[BaseException]) -> None:
+        """A channel's peer went away (EOF, error or slow peer)."""
+        if channel is not self._command:
+            # A source channel, a refused second client, or a channel
+            # of a reactor a heal abandoned: not a client loss.
             return
-        if self._listener is not None and self._listener.connections(
-                protocol.ROLE_COMMAND):
-            # A refused second client (or any stray command conn) died
-            # while the real client is still attached: not a loss.
-            return
+        self._command = None
+        if self._started:
+            self._begin_grace(f"client lost ({reason or 'EOF'})")
+
+    def _begin_grace(self, why: str) -> None:
         if self.client_loss_grace <= 0:
-            self._release_for_lost_client("client vanished")
+            self._release_for_lost_client(why)
             return
         # Hold parked UEs for the grace window: a restarting client may
         # reattach (resume token) and reclaim them with state intact.
-        with self._grace_lock:
-            if self._grace_timer is not None:
-                return
-            timer = threading.Timer(self.client_loss_grace,
-                                    self._on_grace_expired)
-            timer.daemon = True
-            self._grace_timer = timer
-            timer.start()
-        debug_event("server",
-                    f"client lost; holding parked UEs for "
-                    f"{self.client_loss_grace:.1f}s grace")
+        if self._grace_timer is None and self._reactor is not None:
+            self._grace_timer = self._reactor.call_later(
+                self.client_loss_grace, self._on_grace_expired)
+            debug_event("server",
+                        f"{why}; holding parked UEs for "
+                        f"{self.client_loss_grace:.1f}s grace")
 
     def _on_grace_expired(self) -> None:
-        with self._grace_lock:
-            self._grace_timer = None
-        if not self._started:
-            return
-        if (self._listener is not None
-                and self._listener.connections(protocol.ROLE_COMMAND)):
-            return  # a client reattached as the timer fired
-        self._release_for_lost_client("grace window expired")
+        self._grace_timer = None
+        if self._started and self._command is None:
+            self._release_for_lost_client("grace window expired")
 
     def _release_for_lost_client(self, why: str) -> None:
         # The client is gone: nothing will ever release parked UEs, so
@@ -371,16 +453,14 @@ class DebugServer:
             debug_event("server", f"{why}; released {released} UEs")
 
     def _cancel_grace_timer(self) -> None:
-        with self._grace_lock:
-            timer, self._grace_timer = self._grace_timer, None
+        timer, self._grace_timer = self._grace_timer, None
         if timer is not None:
             timer.cancel()
 
     @property
     def grace_pending(self) -> bool:
         """True while parked UEs are being held for a client reattach."""
-        with self._grace_lock:
-            return self._grace_timer is not None
+        return self._grace_timer is not None
 
     # -- request dispatch ---------------------------------------------------------------
 
@@ -390,7 +470,7 @@ class DebugServer:
     _CONTROL_COMMANDS = frozenset((
         "resume", "resume_all", "feed_input", "close_input", "detach"))
 
-    def _handle_request(self, conn: Connection, message: dict) -> None:
+    def _handle_request(self, channel: Channel, message: dict) -> None:
         request_id = message["id"]
         command_name = message["command"]
         # Server-side half of the command round trip: time from the frame
@@ -423,9 +503,9 @@ class DebugServer:
                 obs_metrics.observe("server.command_seconds",
                                     _perf_counter() - t0,
                                     command=command_name)
-                conn.send(protocol.make_error(request_id, str(exc)))
+                self._send(channel, protocol.make_error(request_id, str(exc)))
                 return
-            conn.send(protocol.make_response(request_id, result))
+            self._send(channel, protocol.make_response(request_id, result))
         obs_metrics.observe("server.command_seconds",
                             _perf_counter() - t0, command=command_name)
 
@@ -435,20 +515,18 @@ class DebugServer:
         wire = capture.to_wire()
         with self._stops_lock:
             self._last_stops[ue] = wire
-        if self._listener is not None:
-            self._listener.broadcast_event(protocol.make_event(
-                protocol.EV_STOPPED,
-                {"ue": protocol.ue_to_wire(ue), "capture": wire,
-                 "session_token": self.session.session_token}))
+        self._broadcast(protocol.make_event(
+            protocol.EV_STOPPED,
+            {"ue": protocol.ue_to_wire(ue), "capture": wire,
+             "session_token": self.session.session_token}))
 
     def _on_ue_resume(self, ue: UEId) -> None:
         with self._stops_lock:
             self._last_stops.pop(ue, None)
-        if self._listener is not None:
-            self._listener.broadcast_event(protocol.make_event(
-                protocol.EV_RESUMED,
-                {"ue": protocol.ue_to_wire(ue),
-                 "session_token": self.session.session_token}))
+        self._broadcast(protocol.make_event(
+            protocol.EV_RESUMED,
+            {"ue": protocol.ue_to_wire(ue),
+             "session_token": self.session.session_token}))
 
     def last_stop_for(self, ue: UEId) -> Optional[dict]:
         with self._stops_lock:
@@ -456,11 +534,9 @@ class DebugServer:
 
     def _on_output(self, stream: str, text: str) -> None:
         """Tee callback: forward a debuggee write to the client."""
-        if self._listener is not None:
-            self._listener.broadcast_event(protocol.make_event(
-                protocol.EV_OUTPUT,
-                {"pid": self.session.pid, "stream": stream,
-                 "text": text}))
+        self._broadcast(protocol.make_event(
+            protocol.EV_OUTPUT,
+            {"pid": self.session.pid, "stream": stream, "text": text}))
 
     # -- optional facilities used by the command table --------------------------------------
 
@@ -475,41 +551,33 @@ class DebugServer:
             return {"available": False, "cycles": []}
         return self._deadlock_reporter()
 
-    def emit_event(self, event: str, payload: dict) -> None:
-        """Used by the facade (fork announcements, deadlock alerts)."""
-        if self._listener is not None:
-            self._listener.broadcast_event(protocol.make_event(event, payload))
+    def emit_event(self, event: str, payload: dict) -> bool:
+        """Used by the facade (fork announcements, deadlock alerts);
+        True if the event reached an attached client's channel."""
+        return self._broadcast(protocol.make_event(event, payload))
 
     # -- fork support -----------------------------------------------------------------------
 
     def reinit_after_fork(self) -> None:
         """Fork handler phase C, server part (paper section 5.4 C).
 
-        Close the *inherited* sockets (they belong to the parent's
+        Close the *inherited* descriptors (they belong to the parent's
         session — Fig. 5), rebuild the metadata block for the child
-        (Fig. 4), open a fresh endpoint, start a fresh listener thread,
-        and announce the new server through the port file (Fig. 6).
+        (Fig. 4), open a fresh endpoint on a fresh reactor ("create a
+        listener thread"), and announce the new server through the port
+        file (Fig. 6).
         """
-        # 0. Forget the parent's pending grace timer, if any: the timer
-        #    thread did not survive the fork, and the child's session is
-        #    a fresh epoch with no client yet.
-        with self._grace_lock:
-            self._grace_timer = None
-
-        # 1. Drop inherited sockets.  Closing our descriptor copies does
-        #    not disturb the parent — but shutdown(2) WOULD (it acts on
-        #    the shared socket), so inherited connections are closed
-        #    without shutdown.
-        if self._listener is not None:
-            # The listener *thread* did not survive the fork; only its
-            # data structures did.  Close the connection and endpoint fds.
-            for conn in list(self._listener.connections()):
-                conn.close(shutdown=False)
-            self._listener.endpoint.close()
-            self._listener = None
-        elif self._endpoint is not None:
-            self._endpoint.close()
-        self._endpoint = None
+        # 1. The parent's reactor thread did not survive the fork; only
+        #    its descriptors did.  Close them all — selector, wake pipe,
+        #    channel sockets, accept socket — without shutdown(2), which
+        #    would act on the parent's live sockets, and without taking
+        #    any inherited lock.  The parent's grace timer lived on that
+        #    reactor's wheel and goes with it: the child's session is a
+        #    fresh epoch with no client yet.
+        if self._reactor is not None:
+            self._reactor.close_after_fork()
+        self._reactor = self._endpoint = self._command = None
+        self._grace_timer = None
 
         # 2. Rewrite the metadata block with child identity.
         self.session.rewrite_for_child()
@@ -517,15 +585,8 @@ class DebugServer:
             self._last_stops.clear()
         self.output_capture.reset_after_fork()
 
-        # 3. Fresh endpoint + listener thread ("create a listener thread").
-        self._endpoint = ListenEndpoint(self._host, 0)
-        self._listener = Listener(
-            self._endpoint,
-            on_request=self._handle_request,
-            on_hello=self._handle_hello,
-            on_disconnect=self._handle_disconnect,
-        )
-        self._listener.start()
+        # 3. Fresh endpoint + reactor thread.
+        self._open_transport(0)
 
         # 4. Restart the wedge monitor — its thread died with the fork.
         with self._detach_lock:

@@ -9,112 +9,22 @@ Mapped here:
 
 * :class:`ListenEndpoint` — the accept socket (bound to an ephemeral port
   so forked children can always grab a fresh one);
-* :class:`Connection` — one accepted socket, typed by the role named in
-  its hello frame (``command`` or ``source``).
-
-Connections are read by the Reactor listener thread only, but *written*
-from arbitrary threads — a trace callback emits ``stopped`` events from
-whichever debuggee thread hit the breakpoint — so every connection
-serialises writes behind its own lock.
+* each accepted socket becomes a :class:`~repro.util.reactor.Channel` on
+  the server's reactor, typed by the role named in its hello frame
+  (``command`` or ``source``);
+* :func:`connect_endpoint` — the client's dial plus role hello.
 """
 
 from __future__ import annotations
 
 import socket
-import threading
 import time
-from typing import Any, Optional
+from typing import Optional, Tuple
 
-from ..obs import metrics as obs_metrics
 from ..testkit import faults
 from ..util.errors import ProtocolError
-from ..util.framing import FrameDecoder, encode_frame
-from ..util.ringlog import debug_event
+from ..util.framing import encode_frame
 from . import protocol
-
-
-class Connection:
-    """One accepted client connection plus its framing state."""
-
-    def __init__(self, sock: socket.socket, address):
-        self.sock = sock
-        self.address = address
-        self.decoder = FrameDecoder()
-        self.role: Optional[str] = None  # set once the hello arrives
-        self._send_lock = threading.Lock()
-        self._closed = False
-
-    def fileno(self) -> int:
-        return self.sock.fileno()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def awaiting_hello(self) -> bool:
-        return self.role is None
-
-    def adopt_role(self, hello: dict) -> None:
-        protocol.validate_hello(hello)
-        self.role = hello["role"]
-
-    def send(self, message: Any) -> bool:
-        """Framed, locked send.  Returns False if the peer is gone —
-        losing a client must never raise into a trace callback."""
-        frame = encode_frame(message)
-        with self._send_lock:
-            if self._closed:
-                return False
-            try:
-                # Injection point server.conn.send: a raised OSError here
-                # is "the peer vanished mid-send" — the connection must be
-                # marked dead, never propagate into a trace callback.
-                faults.maybe_fault("server.conn.send")
-                self.sock.sendall(frame)
-                obs_metrics.inc("proto.tx_frames")
-                obs_metrics.inc("proto.tx_bytes", len(frame))
-                return True
-            except OSError:
-                self._closed = True
-                debug_event("sockets", f"send to {self.address} failed; "
-                                       f"marking connection dead")
-                return False
-
-    def close(self, shutdown: bool = True) -> None:
-        """Close this connection.
-
-        ``shutdown=True`` (the owner's close) tears the TCP stream down
-        for both peers.  ``shutdown=False`` only drops THIS process's
-        descriptor — the mode a forked child must use on *inherited*
-        connections (paper Fig. 5): ``shutdown(2)`` acts on the shared
-        socket, so a child shutting down its copies would sever the
-        parent's live client session.
-
-        The inherited-close mode must also never touch the inherited
-        ``_send_lock``: the parent's listener thread may have been
-        mid-:meth:`send` (lock held) at the fork moment, and no thread
-        in the single-threaded child will ever release its copy.  The
-        flag flip is safe without the lock — there is no one to race.
-        """
-        if shutdown:
-            with self._send_lock:
-                if self._closed:
-                    return
-                self._closed = True
-            try:
-                self.sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        else:
-            if self._closed:
-                return
-            self._closed = True
-            self._send_lock = threading.Lock()
-        try:
-            self.sock.close()
-        except OSError:
-            pass
 
 
 class ListenEndpoint:
@@ -129,13 +39,16 @@ class ListenEndpoint:
         self.sock.set_inheritable(False)
         self.sock.bind((host, port))
         self.sock.listen(16)
+        # Accepted on the reactor thread, which must never block.
+        self.sock.setblocking(False)
         self.port = self.sock.getsockname()[1]
         self._closed = False
 
     def fileno(self) -> int:
         return self.sock.fileno()
 
-    def accept(self) -> Connection:
+    def accept(self) -> Tuple[socket.socket, tuple]:
+        """Accept one pending connection: ``(socket, peer address)``."""
         faults.maybe_fault("server.listener.accept")
         sock, address = self.sock.accept()
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -144,7 +57,7 @@ class ListenEndpoint:
         # must not leak debugger fds into its successor image) is too
         # important to rest on a default someone can flip — pin it.
         sock.set_inheritable(False)
-        return Connection(sock, address)
+        return sock, address
 
     @property
     def closed(self) -> bool:
@@ -167,7 +80,8 @@ def connect_endpoint(host: str, port: int, role: str, pid: int,
                      resume_token: Optional[str] = None) -> socket.socket:
     """Client side: dial the server and send the role hello.
 
-    Returns the connected socket; the caller reads the hello_ack.
+    Returns the connected socket; the caller reads the hello_ack through
+    the channel it registers the socket as.
 
     A refused connect is retried with exponential backoff, but only for
     *refused_grace* seconds: a freshly forked child announces its port

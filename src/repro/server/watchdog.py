@@ -1,36 +1,35 @@
-"""Server watchdog: detect a wedged listener and heal or detach.
+"""Server watchdog: detect a wedged reactor and heal or detach.
 
-The listener thread is the debug server's single point of failure: the
+The reactor thread is the debug server's single point of failure: the
 paper's §4 non-blocking rule keeps it responsive, but a misbehaving
-command handler (or injected fault) can still wedge the reactor — and a
-wedged reactor is worse than a dead one, because the thread stays
-"alive" while every client request and heartbeat black-holes.  The
-debuggee meanwhile must not care: do-no-harm says a broken debugger may
-never cost the host process anything but its debugability.
+command handler (or injected fault) can still wedge it — and a wedged
+reactor is worse than a dead one, because the thread stays "alive"
+while every client request and heartbeat black-holes.  The debuggee
+meanwhile must not care: do-no-harm says a broken debugger may never
+cost the host process anything but its debugability.
 
-The watchdog polls two signals:
+Every *interval* the watchdog checks two signals:
 
-* **thread death** — the listener thread exited (an escaped exception,
-  a selector wreck).  Healable: build a fresh listener on a fresh port
+* **thread death** — the reactor thread exited (an escaped exception,
+  a selector wreck).  Healable: build a fresh reactor on a fresh port
   and re-announce; the client's watcher sees the same pid on a new port
   and redials.
-* **tick staleness** — the thread is alive but its loop stamp
-  (:attr:`~repro.server.listener.Listener.last_tick`) has not moved for
-  ``DIONEA_WATCHDOG_STALL`` seconds.  A wedged thread cannot be killed
-  in Python, so the stuck listener is *abandoned*: its sockets are
-  closed out from under it (which also unwedges anything blocked on
-  them) and a replacement listener takes over.  If even that fails, the
-  server detaches and the debuggee runs on undebugged.
+* **an unanswered probe** — the watchdog posts a probe thunk to the
+  reactor (:meth:`~repro.util.reactor.Reactor.call_soon`); a live loop
+  runs it at its next turn.  A probe still pending after *stall*
+  seconds means the loop is stuck inside a handler.  A wedged thread
+  cannot be killed in Python, so the stuck reactor is *abandoned*: its
+  sockets are closed out from under it and a replacement takes over.
+  If even that fails, the server detaches and the debuggee runs on
+  undebugged.
 
-Enabled by default inside :meth:`DebugServer.start`; ``DIONEA_WATCHDOG=0``
-turns it off, ``DIONEA_WATCHDOG_STALL`` tunes the stall budget (default
-10s — far above any legitimate reactor pause, including the test
-suite's injected delays).
+Started by :meth:`DebugServer.start`.  The 10 s default stall is far
+above any legitimate reactor pause, including the test suite's injected
+delays; a test that wants a faster verdict builds its own watchdog.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import TYPE_CHECKING, Optional
@@ -41,41 +40,21 @@ from ..util.ringlog import debug_event
 if TYPE_CHECKING:  # pragma: no cover
     from .debugserver import DebugServer
 
-#: env gate: "0" disables the watchdog entirely
-ENABLE_ENV = "DIONEA_WATCHDOG"
-#: env knob: seconds of tick silence before the listener counts as wedged
-STALL_ENV = "DIONEA_WATCHDOG_STALL"
-
-_DEFAULT_STALL = 10.0
-
-
-def watchdog_enabled() -> bool:
-    return os.environ.get(ENABLE_ENV, "1") not in ("0", "false", "no")
-
-
-def stall_budget() -> float:
-    raw = os.environ.get(STALL_ENV)
-    if not raw:
-        return _DEFAULT_STALL
-    try:
-        value = float(raw)
-    except ValueError:
-        return _DEFAULT_STALL
-    return value if value > 0 else _DEFAULT_STALL
-
 
 class ServerWatchdog:
-    """Background monitor for one :class:`DebugServer`'s listener."""
+    """Background monitor for one :class:`DebugServer`'s reactor."""
 
     def __init__(self, server: "DebugServer",
                  interval: float = 1.0,
-                 stall: Optional[float] = None):
+                 stall: float = 10.0):
         self.server = server
         self.interval = interval
-        self.stall = stall if stall is not None else stall_budget()
+        self.stall = stall
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        #: healing attempts are bounded: a listener that needs a third
+        #: (token, posted-at) of the probe the reactor has not run yet
+        self._probe: Optional[tuple] = None
+        #: healing attempts are bounded: a reactor that needs a third
         #: heal inside one server lifetime is not sick, it is cursed —
         #: detach rather than flap forever.
         self.max_heals = 2
@@ -104,6 +83,7 @@ class ServerWatchdog:
         """The watchdog thread did not survive the fork; forget it."""
         self._stop = threading.Event()
         self._thread = None
+        self._probe = None
         self._heals = 0
 
     # -- the monitor loop ---------------------------------------------------
@@ -119,24 +99,35 @@ class ServerWatchdog:
 
     def _check(self) -> None:
         server = self.server
-        if not server.started:
+        reactor = server._reactor  # noqa: SLF001 - the monitored loop
+        if not server.started or reactor is None:
             return
-        listener = server._listener
-        if listener is None:
+        if not reactor.running:
+            self._respond("reactor thread died")
             return
-        if not listener.running:
-            self._respond("listener thread died")
+        probe = self._probe
+        if probe is None:
+            token = object()
+            self._probe = (token, time.monotonic())
+            reactor.call_soon(lambda: self._answer(token))
             return
-        silence = time.monotonic() - listener.last_tick
-        if silence > self.stall:
+        waited = time.monotonic() - probe[1]
+        if waited > self.stall:
             obs_metrics.inc("server.watchdog_stalls")
-            self._respond(f"listener wedged for {silence:.1f}s")
+            self._respond(f"reactor wedged for {waited:.1f}s")
+
+    def _answer(self, token: object) -> None:
+        """The probe, run on the reactor thread: the loop is turning."""
+        probe = self._probe
+        if probe is not None and probe[0] is token:
+            self._probe = None
 
     def _respond(self, why: str) -> None:
+        self._probe = None  # a probe posted to the old reactor is moot
         server = self.server
         if self._heals < self.max_heals:
             self._heals += 1
-            debug_event("watchdog", f"{why}; healing listener "
+            debug_event("watchdog", f"{why}; healing reactor "
                                     f"(attempt {self._heals})")
             try:
                 server.heal_listener(why)

@@ -1,15 +1,8 @@
 """Trace engine: breakpoints, stepping, per-UE control (paper section 4)."""
 
-from .backends import (
-    MonitoringBackend,
-    SettraceBackend,
-    TraceBackend,
-    fastpath_enabled,
-    select_backend,
-)
 from .breakpoints import Breakpoint, BreakpointStore, canonical_file
 from .control import ResumeCommand, ResumeGate, UEController
-from .engine import TraceEngine
+from .engine import TraceEngine, fastpath_enabled
 from .linetable import LineTable
 from .frames import (
     FrameInfo,
@@ -25,8 +18,7 @@ from .stepping import StepMode, StepState
 from .watchpoints import WatchHit, Watchpoint, WatchpointStore
 
 __all__ = [
-    "TraceBackend", "SettraceBackend", "MonitoringBackend",
-    "select_backend", "fastpath_enabled",
+    "fastpath_enabled",
     "LineTable",
     "SamplingProfiler", "UEProfile",
     "WatchHit", "Watchpoint", "WatchpointStore",

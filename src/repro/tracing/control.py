@@ -164,6 +164,11 @@ class UEController:
         BreakpointStore.is_empty for the atomicity argument)."""
         return bool(self._pending_suspend) or self._suspend_all
 
+    def suspend_due(self, ue: UEId) -> bool:
+        """Lock-free probe: would :meth:`consume_suspend` park *ue* now?"""
+        return (ue in self._pending_suspend
+                or (self._suspend_all and ue not in self._suspended_once))
+
     def consume_suspend(self, ue: UEId) -> bool:
         """Trace-callback hot path: should *ue* park now?
 

@@ -6,9 +6,8 @@ the interpreters, i.e. ... sys.settrace for ... Python."*
 
 Responsibilities:
 
-* install/remove event delivery through a pluggable
-  :mod:`~repro.tracing.backends` seam (``sys.settrace`` by default,
-  PEP 669 ``sys.monitoring`` on 3.12+);
+* install/remove event delivery through ``sys.settrace`` /
+  ``threading.settrace``, the paper's mechanism;
 * on each event decide — cheaply — whether the frame needs a local trace
   function at all.  Two layers keep section 7's overhead down:
 
@@ -27,9 +26,8 @@ Responsibilities:
   (low intrusion, footnote 1);
 * expose ``disable``/``enable`` used by fork handler phases A and B/C
   (*"Disable the tracing until the listener thread is restarted, to avoid
-  a deadlock in the child process"*, section 5.4) — both routed through
-  the backend seam, as is the child's re-install in
-  :meth:`reset_after_fork`.
+  a deadlock in the child process"*, section 5.4), and the child's
+  re-install in :meth:`reset_after_fork`.
 
 Asynchronous suspend of an already-running thread works by injecting a
 local trace function into that thread's live frames via
@@ -42,6 +40,7 @@ continues, so a suspended-then-resumed thread returns to the fast path.
 from __future__ import annotations
 
 import os
+import signal
 import sys
 import threading
 import time
@@ -54,7 +53,6 @@ from ..obs.spans import SPANS
 from ..util.errors import TraceError
 from ..util.ids import UEId
 from ..util.ringlog import debug_event
-from .backends import TraceBackend, fastpath_enabled, select_backend
 from .breakpoints import BreakpointStore, canonical_file
 from .control import ResumeCommand, UEController
 from .frames import StackCapture, capture_stack
@@ -68,6 +66,23 @@ from .stepping import StepMode, StepState
 #: through multiprocessing queue internals.
 _SELF_PACKAGES = ("tracing", "server", "client", "core", "util",
                   "forkhooks", "obs")
+
+#: Environment knob for the per-code fast path (read at construction).
+FASTPATH_ENV = "DIONEA_TRACE_FASTPATH"
+
+#: The re-arm signal.  SIGURG is the conventional "free" signal (ignored
+#: by default, unused by the runtime) and Python signal handlers always
+#: execute in the main thread — exactly the thread whose trace hook was
+#: dropped and cannot be restored from anywhere else.
+REARM_SIGNAL = getattr(signal, "SIGURG", None)
+
+
+def fastpath_enabled(override: Optional[bool] = None) -> bool:
+    """The per-code fast path toggle (``DIONEA_TRACE_FASTPATH``)."""
+    if override is not None:
+        return bool(override)
+    raw = os.environ.get(FASTPATH_ENV, "1").strip().lower()
+    return raw not in ("0", "off", "false", "no")
 
 
 def _self_prefixes() -> Tuple[str, ...]:
@@ -85,7 +100,6 @@ class TraceEngine:
                  on_resume: Optional[Callable[[UEId], None]] = None,
                  disturb: Optional[object] = None,
                  park_timeout: Optional[float] = 60.0,
-                 backend: Optional[object] = None,
                  fastpath: Optional[bool] = None):
         self.breakpoints = breakpoints or BreakpointStore()
         self.controller = controller or UEController()
@@ -115,13 +129,6 @@ class TraceEngine:
         self._exception_breaks = False
         self._exception_filter: Optional[Set[str]] = None
 
-        #: the event source (settrace or sys.monitoring); accepts a
-        #: backend name, a ready-made backend object, or None/'auto'
-        #: resolved via DIONEA_TRACE_BACKEND.
-        if backend is None or isinstance(backend, str):
-            self._backend: TraceBackend = select_backend(backend)
-        else:
-            self._backend = backend
         #: per-code fast path toggle (DIONEA_TRACE_FASTPATH; the parity
         #: matrix runs every suite with it off too).
         self._fastpath = fastpath_enabled(fastpath)
@@ -133,13 +140,13 @@ class TraceEngine:
         self.linetable = LineTable(self.breakpoints)
         self._lt_probe = self.linetable.probe
 
-        #: armed/disarmed hook lifecycle state (settrace backend only):
-        #: the main thread may drop its trace hook while quiet and is
-        #: re-armed via REARM_SIGNAL (see repro.tracing.backends).
+        #: armed/disarmed hook lifecycle state: the main thread may drop
+        #: its trace hook while quiet and is re-armed via REARM_SIGNAL.
         self._main_ident = threading.main_thread().ident
         self._demotable = False
         self._main_demoted = False
         self._arm_epoch = 0
+        self._prev_handler = None
 
         #: precomputed "nothing is being debugged" flag: True while there
         #: are no breakpoints, no stepping UEs, no pending suspends and
@@ -176,10 +183,6 @@ class TraceEngine:
         return self._enabled
 
     @property
-    def backend_name(self) -> str:
-        return getattr(self._backend, "name", "custom")
-
-    @property
     def fastpath(self) -> bool:
         return self._fastpath
 
@@ -189,7 +192,7 @@ class TraceEngine:
             if self._installed:
                 raise TraceError("trace engine already installed")
             self._installed = True
-        self._backend.install(self)
+        self._install_hooks()
         # Expose the hot-path counters as callback gauges: the fast path
         # stays untouched (§7's overhead band); the registry reads the
         # plain ints only at snapshot time.
@@ -200,15 +203,15 @@ class TraceEngine:
         obs_metrics.register_gauge("trace.local_installs",
                                    lambda: self.local_installs)
         debug_event("tracing",
-                    f"engine installed (backend={self.backend_name}, "
-                    f"fastpath={'on' if self._fastpath else 'off'})")
+                    f"engine installed "
+                    f"(fastpath={'on' if self._fastpath else 'off'})")
 
     def uninstall(self) -> None:
         with self._lock:
             if not self._installed:
                 return
             self._installed = False
-        self._backend.uninstall()
+        self._uninstall_hooks()
         for gauge in ("trace.events", "trace.fastpath_hits",
                       "trace.local_installs"):
             obs_metrics.REGISTRY.unregister_gauge(gauge)
@@ -218,12 +221,11 @@ class TraceEngine:
     def disable(self) -> None:
         """Fork phase A: make every dispatch a near-no-op."""
         self._enabled = False
-        self._backend.sync()
 
     def enable(self) -> None:
         """Fork phases B/C: resume normal dispatch."""
         self._enabled = True
-        self._backend.sync()
+        self._rearm_main()
 
     def refresh_quiet(self) -> None:
         """Recompute the fast-path flags after any feature toggle."""
@@ -242,7 +244,7 @@ class TraceEngine:
                 # Closes the demote-vs-arm race: a main thread caught
                 # mid-demotion re-checks the epoch and restores itself.
                 self._arm_epoch += 1
-            self._backend.sync()
+            self._rearm_main()
 
     def _breakpoints_changed(self) -> None:
         """Breakpoint mutation: invalidate per-code caches, then rearm.
@@ -254,8 +256,6 @@ class TraceEngine:
         """
         self.linetable.invalidate()
         self.refresh_quiet()
-        if self._installed:
-            self._backend.events_invalidated()
 
     def set_exception_breaks(self, enabled: bool,
                              only: Optional[list] = None) -> None:
@@ -272,6 +272,84 @@ class TraceEngine:
     @property
     def exception_breaks(self) -> bool:
         return self._exception_breaks
+
+    # -- hook lifecycle (settrace + main-thread demotion) -------------------------
+    #
+    # On CPython 3.11+ the mere presence of a per-thread trace function
+    # disables the specializing interpreter (PEP 659), so even a cheap
+    # Python-level dispatch costs >30 % on compute-bound code.  While the
+    # engine is quiet the main thread therefore drops its hook entirely
+    # from inside the dispatch, and is re-armed via REARM_SIGNAL when a
+    # feature goes live (``sys.settrace`` is per-thread, and only a
+    # signal handler runs code in the main thread on demand).  Other
+    # threads keep their hooks, so asynchronous suspend works unchanged.
+
+    def _install_hooks(self) -> None:
+        self._main_ident = threading.main_thread().ident
+        threading.settrace(self._global_dispatch)
+        sys.settrace(self._global_dispatch)
+        # Demotion needs the re-arm signal handler, and signal handlers
+        # can only be installed from the main thread.  When the engine is
+        # installed from elsewhere (the stress runner's worker threads),
+        # every thread simply keeps its hook — correct, just slower.
+        self._demotable = False
+        if (self._fastpath and REARM_SIGNAL is not None
+                and threading.get_ident() == self._main_ident):
+            try:
+                self._prev_handler = signal.signal(
+                    REARM_SIGNAL, self._rearm_handler)
+                self._demotable = True
+            except (ValueError, OSError):  # non-main thread, exotic host
+                self._prev_handler = None
+
+    def _uninstall_hooks(self) -> None:
+        sys.settrace(None)
+        threading.settrace(None)  # type: ignore[arg-type]
+        if self._demotable:
+            try:
+                signal.signal(REARM_SIGNAL,
+                              self._prev_handler or signal.SIG_DFL)
+            except (ValueError, OSError):
+                pass
+        self._demotable = False
+        self._main_demoted = False
+
+    def _rearm_main(self) -> None:
+        """Re-arm the demoted main thread when a feature goes live.
+
+        Quiet-direction edges need no action here: demotion is lazy (the
+        dispatch drops the hook at the next call event it sees).
+        """
+        if not self._installed or not self._enabled:
+            return
+        if self._quiet or not self._main_demoted:
+            return
+        if threading.get_ident() == self._main_ident:
+            sys.settrace(self._global_dispatch)
+            self._main_demoted = False
+        else:
+            # Only the main thread can restore its own hook; interrupt it.
+            try:
+                os.kill(os.getpid(), REARM_SIGNAL)
+            except OSError:  # pragma: no cover - kill(self) cannot fail
+                pass
+
+    def _rearm_handler(self, signum, frame) -> None:
+        """Runs in the main thread: restore the dropped trace hook."""
+        if self._installed and self._main_demoted and not self._quiet:
+            sys.settrace(self._global_dispatch)
+            self._main_demoted = False
+            # A global hook only fires at the next *call* event.  A
+            # pending asynchronous suspend is aimed at lines too, so arm
+            # the interrupted stack the same way request_suspend() arms
+            # other threads.  Plain breakpoint arming deliberately does
+            # NOT inject: a breakpoint set mid-frame fires at the next
+            # call event, exactly as it always has.
+            if self.controller.has_pending and frame is not None:
+                self._inject_frames(frame)
+        prev = self._prev_handler
+        if callable(prev):
+            prev(signum, frame)
 
     # -- per-UE state -------------------------------------------------------------
 
@@ -321,8 +399,6 @@ class TraceEngine:
     def _inject_into_thread(self, tid: int) -> None:
         """Set local trace functions on a live thread's frames so its next
         line event reaches the engine even if its frames opted out."""
-        if not self._backend.needs_frame_injection:
-            return  # monitoring delivers lines globally while armed
         frame = sys._current_frames().get(tid)
         if frame is not None:
             self._inject_frames(frame)
@@ -378,15 +454,41 @@ class TraceEngine:
             self._skip_cache[filename] = skip
         return skip
 
+    def _suspend_due(self, ue: UEId, frame) -> bool:
+        """Consume a suspend due for *ue*, unless the UE is inside
+        debugger code.
+
+        A frame is judged by the stack under it: when any caller is
+        debugger code (``_SELF_PACKAGES``) — a stdlib ``Condition``
+        entered from a session's request, a fault hook called from a
+        channel's send — the UE may hold a lock the debugger itself
+        needs (the session's Condition, the channel's lock), so the
+        suspend stays pending until the UE is back in its own code.  The
+        walk runs only while a suspend is due for this UE.
+        """
+        if not self.controller.suspend_due(ue):
+            return False
+        current = frame
+        while current is not None:
+            if current.f_code.co_filename.startswith(self._skip_prefixes):
+                return False
+            current = current.f_back
+        if threading.current_thread().name.startswith("dionea-"):
+            # A debugger thread still in its bootstrap frames: it
+            # untraces itself first thing; parking it would kill the
+            # debugger.
+            return False
+        return self.controller.consume_suspend(ue)
+
     def _global_dispatch(self, frame, event, arg):
         """Installed via sys.settrace; called for 'call' events.
 
         The first half is the **no-breakpoint fast path** the §7
         overhead numbers depend on: when nothing is being debugged the
         only per-call cost is a couple of attribute reads and one dict
-        lookup — no locks, no UEId construction — and on the settrace
-        backend the quiet main thread then *demotes itself* (drops its
-        hook entirely) so the specializing interpreter comes back.
+        lookup — no locks, no UEId construction — and the quiet main
+        thread then *demotes itself* (drops its hook entirely) so the
+        specializing interpreter comes back.
         While only breakpoints are live, the LineTable probe declines
         local tracing per code object: one extra dict lookup per call,
         zero per line, for every frame that can never hit one.
@@ -423,8 +525,8 @@ class TraceEngine:
     def _demote_main_thread(self) -> None:
         """Quiet main thread: physically drop this thread's trace hook.
 
-        Runs inside the dispatch, in the main thread.  The backend's
-        re-arm signal handler restores the hook when a feature goes
+        Runs inside the dispatch, in the main thread.  The re-arm
+        signal handler restores the hook when a feature goes
         live; the epoch re-check below closes the window where an arm
         raced the demotion (the arm bumped the epoch and may have
         signalled before ``_main_demoted`` was visible).
@@ -473,7 +575,7 @@ class TraceEngine:
             self._pause(ue, frame, reason="step")
             return self._local_fn
 
-        if self.controller.consume_suspend(ue):
+        if self._suspend_due(ue, frame):
             self._pause(ue, frame, reason="suspend")
             return self._local_fn
 
@@ -499,7 +601,7 @@ class TraceEngine:
         state = self.state_for(ue)
 
         if event == "line":
-            if self.controller.consume_suspend(ue):
+            if self._suspend_due(ue, frame):
                 self._pause(ue, frame, reason="suspend")
             elif state.should_stop_on_line(frame):
                 self._pause(ue, frame, reason="step")
@@ -619,8 +721,7 @@ class TraceEngine:
             state.set_continue()
             self._active_steppers.discard(ue)
             self.refresh_quiet()
-            if self._backend.needs_frame_injection:
-                self._strip_injected_frames(frame)
+            self._strip_injected_frames(frame)
             return
         self._active_steppers.add(ue)
         self.refresh_quiet()
@@ -642,8 +743,7 @@ class TraceEngine:
         # no-breakpoint fast path), so a step/next/return targeting them
         # would never see a line or return event.  Inject the local trace
         # function up the stack — bdb does the same via f_trace.
-        if self._backend.needs_frame_injection:
-            self._inject_frames(frame)
+        self._inject_frames(frame)
 
     # -- fork support ---------------------------------------------------------------
 
@@ -667,8 +767,18 @@ class TraceEngine:
         self.refresh_quiet()
         # The child must re-arm event delivery for itself: settrace state
         # is per-thread and the child's only thread is the parent's
-        # forker.  Routed through the backend seam — the settrace backend
-        # re-registers the forker as the main thread (phase C's "register
-        # the thread that called fork as the main thread").
-        if self._installed:
-            self._backend.reinstall_after_fork()
+        # forker, which becomes the main thread the re-arm signal
+        # reaches (phase C's "register the thread that called fork as
+        # the main thread").
+        if not self._installed:
+            return
+        self._main_ident = threading.get_ident()
+        threading.settrace(self._global_dispatch)
+        if self._fastpath and self._demotable and self._quiet:
+            # Quiet child: stay (or become) demoted; the dispatch would
+            # drop the hook at the first call event anyway.
+            sys.settrace(None)
+            self._main_demoted = True
+        else:
+            sys.settrace(self._global_dispatch)
+            self._main_demoted = False

@@ -23,8 +23,6 @@ from .framing import (
     FrameDecoder,
     decode_payload,
     encode_frame,
-    recv_frame,
-    send_frame,
 )
 from .ids import IdAllocator, UEId, describe_ue
 from .portfile import PortFile, PortFileWatcher, PortRecord, default_portfile_path
@@ -37,7 +35,6 @@ __all__ = [
     "ProtocolError", "QueueClosed", "RendezvousError", "ReproError",
     "SessionError", "SyncObjectError", "TraceError", "ViewError",
     "MAX_FRAME_BYTES", "FrameDecoder", "decode_payload", "encode_frame",
-    "recv_frame", "send_frame",
     "IdAllocator", "UEId", "describe_ue",
     "PortFile", "PortFileWatcher", "PortRecord", "default_portfile_path",
     "GLOBAL_LOG", "LogRecord", "RingLog", "debug_event",

@@ -15,23 +15,21 @@ Dionea speaks to Ruby *and* Python servers from one client).  Pickle is
 deliberately avoided on the control channel: the debugger must never let a
 debuggee-controlled byte stream execute code in the client.
 
-Two interfaces are provided:
+One codec and one pair of I/O pumps:
 
-* :func:`encode_frame` / :class:`FrameDecoder` — sans-io, byte-buffer based,
-  usable with ``selectors`` inside the Reactor listener thread;
+* :func:`encode_frame` / :class:`FrameDecoder` — sans-io, byte-buffer
+  based;
 * :class:`SendBuffer` / :class:`RecvBuffer` — *resumable* non-blocking
-  buffers for the client reactor: a partial write or a short read parks
-  the remaining bytes and the next ``pump`` call picks up exactly where
-  the kernel stopped;
-* :func:`send_frame` / :func:`recv_frame` — blocking helpers over a socket
-  or any object with ``sendall``/``recv``.
+  pumps for the :mod:`~repro.util.reactor` loop on both sides: a
+  partial write or a short read parks the remaining bytes and the next
+  ``pump`` call picks up exactly where the kernel stopped.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Tuple
 
 from .errors import FramingError
 
@@ -110,12 +108,14 @@ class SendBuffer:
     many bytes as the kernel will take right now and returns ``True``
     once the buffer is fully drained.  A short write leaves the unsent
     tail in place — no byte is ever re-sent or dropped regardless of
-    where the kernel cut the write.  Shares the ``net.frame.send``
-    injection point with the blocking sender, so the testkit's
-    short-write and EINTR schedules exercise the resume path too.
+    where the kernel cut the write.  *point* names the fault-injection
+    point each send consults (``net.frame.send`` on the client,
+    ``server.conn.send`` on the debug server), so the testkit's
+    short-write, EINTR and dead-peer schedules exercise this path.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, point: str = "net.frame.send") -> None:
+        self.point = point
         self._chunks: List[memoryview] = []
         self._pending = 0
 
@@ -148,7 +148,7 @@ class SendBuffer:
         while self._chunks:
             view = self._chunks[0]
             try:
-                budget = _io_fault("net.frame.send", len(view))
+                budget = _io_fault(self.point, len(view))
                 sent = sock.send(view[:budget])
             except (BlockingIOError, InterruptedError):
                 return False
@@ -168,11 +168,13 @@ class RecvBuffer:
     Wraps a :class:`FrameDecoder`; :meth:`pump` reads whatever bytes are
     available right now and returns the complete messages they finish,
     tolerating frames split at any byte boundary across any number of
-    pumps.  Shares the ``net.frame.recv`` injection point with the
-    blocking reader (short-read and EINTR schedules apply).
+    pumps.  *point* names the fault-injection point each read consults
+    (``net.frame.recv`` on the client, ``server.listener.recv`` on the
+    debug server; short-read and EINTR schedules apply).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, point: str = "net.frame.recv") -> None:
+        self.point = point
         self._decoder = FrameDecoder()
 
     @property
@@ -190,7 +192,7 @@ class RecvBuffer:
         messages: List[Any] = []
         while True:
             try:
-                allowed = _io_fault("net.frame.recv", budget)
+                allowed = _io_fault(self.point, budget)
                 data = sock.recv(allowed)
             except (BlockingIOError, InterruptedError):
                 return messages, False
@@ -206,66 +208,3 @@ class RecvBuffer:
                 # The kernel gave less than asked: the queue is drained
                 # for now; returning avoids one guaranteed-EAGAIN call.
                 return messages, False
-
-
-def send_frame(sock, message: Any) -> None:
-    """Blocking send of one framed message over *sock*.
-
-    Sent as an explicit short-write loop rather than ``sendall`` so the
-    injection point ``net.frame.send`` can split one frame across many
-    TCP segments (partial frame delivery) or raise EINTR inside the
-    loop; the peer's :class:`FrameDecoder`/:func:`_recv_exact` must
-    reassemble regardless of where the cuts land.
-    """
-    view = memoryview(encode_frame(message))
-    while view:
-        try:
-            budget = _io_fault("net.frame.send", len(view))
-            sent = sock.send(view[:budget])
-        except InterruptedError:
-            continue
-        if sent == 0:
-            raise FramingError("connection closed mid-send")
-        view = view[sent:]
-
-
-def _recv_exact(sock, n: int) -> Optional[bytes]:
-    """Read exactly *n* bytes, or None on clean EOF at a frame boundary.
-
-    Injection point ``net.frame.recv``: clamps the per-call byte budget
-    (forcing reassembly of frames delivered one byte at a time) or
-    raises EINTR, which is retried here explicitly.
-    """
-    chunks = bytearray()
-    while len(chunks) < n:
-        try:
-            budget = _io_fault("net.frame.recv", n - len(chunks))
-            chunk = sock.recv(budget)
-        except InterruptedError:
-            continue
-        if not chunk:
-            if not chunks:
-                return None
-            raise FramingError(
-                f"connection closed mid-frame ({len(chunks)}/{n} bytes)")
-        chunks.extend(chunk)
-    return bytes(chunks)
-
-
-def recv_frame(sock) -> Optional[Any]:
-    """Blocking receive of one framed message.
-
-    Returns ``None`` on orderly EOF between frames; raises
-    :class:`FramingError` if the peer vanishes mid-frame.
-    """
-    header = _recv_exact(sock, HEADER.size)
-    if header is None:
-        return None
-    (length,) = HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise FramingError(
-            f"incoming frame too large: {length} > {MAX_FRAME_BYTES}")
-    payload = _recv_exact(sock, length) if length else b""
-    if payload is None:
-        raise FramingError("connection closed between header and payload")
-    return decode_payload(payload)

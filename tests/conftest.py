@@ -86,9 +86,9 @@ def clean_process_state():
     # leave a trace function slowing down (or parking!) later tests.
     sys.settrace(None)
     threading.settrace(None)
-    # The settrace backend re-arms a demoted main thread via SIGURG; a
-    # failed test must not leave its handler (bound to a dead engine)
-    # installed for the next test's backend to chain into.
+    # The engine re-arms a demoted main thread via SIGURG; a failed
+    # test must not leave its handler (bound to a dead engine) installed
+    # for the next test's engine to chain into.
     if (original_urg is not None
             and signal.getsignal(signal.SIGURG) is not original_urg):
         signal.signal(signal.SIGURG, original_urg)

@@ -17,6 +17,9 @@ import pytest
 from repro.client import DebugClient
 from repro.core import Dionea
 from repro.forkhooks.augment import active_patcher
+from repro.server.watchdog import ServerWatchdog
+from repro.testkit import faults
+from repro.util.errors import RequestTimeoutError, SessionLostError
 from repro.util.portfile import PortFile
 from tests.conftest import wait_until
 
@@ -115,6 +118,33 @@ class TestWatchdogHeal:
                    timeout=10.0, message="client redial onto healed port")
         # the healed session is live: a command round-trip works
         assert live_session(client).request("breaks") == []
+
+    def test_watchdog_detects_a_wedged_reactor(self, attached):
+        """Detection end to end: a dispatch fault wedges the reactor past
+        the stall budget, the watchdog's probe goes unanswered, the
+        server moves to a new port and the client redials."""
+        debugger, client = attached
+        server = debugger.server
+        server.watchdog.stop()
+        server.watchdog = ServerWatchdog(server, interval=0.05, stall=0.3)
+        server.watchdog.start()
+        old_port = debugger.port
+        old_session = live_session(client)
+        with faults.armed("server.request.dispatch",
+                          faults.Fault.delay(2.0),
+                          faults.Schedule.on_hits(1)):
+            with pytest.raises((SessionLostError, RequestTimeoutError)):
+                old_session.request("breaks", timeout=5.0)
+        # The client sees EOF as the old sockets close, a moment before
+        # the heal opens the new endpoint.
+        wait_until(lambda: debugger.port != old_port, timeout=10.0,
+                   message="heal onto a fresh port")
+        server.watchdog.stop()  # detection shown; no more 0.3 s verdicts
+        wait_until(lambda: (live_session(client) is not None
+                            and live_session(client) is not old_session),
+                   timeout=10.0, message="client redial onto healed port")
+        assert live_session(client).request("breaks") == []
+        assert not server.detached
 
     def test_heal_survives_repeated_wedges(self, attached):
         debugger, client = attached

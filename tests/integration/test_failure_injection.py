@@ -15,7 +15,7 @@ import pytest
 
 from repro.client import DebugClient
 from repro.server import DebugServer, protocol
-from repro.util.framing import encode_frame, recv_frame, send_frame
+from tests.wire import recv_msg, send_msg
 
 SRC = os.path.abspath(__file__)
 
@@ -103,9 +103,9 @@ class TestWireGarbage:
         server, client, session = debug_pair
         extra = socket.create_connection(("127.0.0.1", server.port),
                                          timeout=5)
-        send_frame(extra, protocol.make_hello(
+        send_msg(extra, protocol.make_hello(
             protocol.ROLE_SOURCE, pid=0, session_token="x"))
-        ack = recv_frame(extra)
+        ack = recv_msg(extra)
         assert ack["type"] == "hello_ack"
         extra.close()
 

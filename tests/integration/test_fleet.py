@@ -7,8 +7,8 @@ handshake with synthetic pids.  That keeps every claim here about the
 CLIENT: pipelined out-of-order completion, O(1) thread cost, and
 scatter-gather sweeps that record holes instead of aborting.
 
-The fakes use blocking framing helpers on purpose: they stand for the
-server side, which has its own reactor and its own tests.
+The fakes use blocking frame I/O (``tests/wire.py``) on purpose: they
+stand for the server side, which has its own reactor and its own tests.
 """
 
 import socket
@@ -20,8 +20,13 @@ import pytest
 from repro.client import DebugClient, DebugSession
 from repro.server import protocol
 from repro.util import ringlog
-from repro.util.errors import RequestTimeoutError
-from repro.util.framing import recv_frame, send_frame
+from repro.util.errors import (
+    FramingError,
+    RequestTimeoutError,
+    SessionLostError,
+)
+from repro.util.reactor import HIGH_WATER_BYTES
+from tests.wire import recv_msg, send_msg
 
 pytestmark = pytest.mark.timeout(60)
 
@@ -69,27 +74,27 @@ class FakeDebugServer:
 
     def _serve(self, conn):
         try:
-            hello = recv_frame(conn)
+            hello = recv_msg(conn)
             if not isinstance(hello, dict) or hello.get("type") != "hello":
                 return
-            send_frame(conn, protocol.make_hello_ack(
+            send_msg(conn, protocol.make_hello_ack(
                 pid=self.pid, parent_pid=1, program=f"fake-{self.pid}",
                 main_thread=1, session_token=f"tok-{self.pid}"))
             while True:
-                message = recv_frame(conn)
+                message = recv_msg(conn)
                 if message is None:
                     return
                 if message.get("type") == "ping":
-                    send_frame(conn, protocol.make_pong(
+                    send_msg(conn, protocol.make_pong(
                         message.get("seq", 0), pid=self.pid))
                 elif message.get("type") == "request":
                     if self.on_request is not None \
                             and self.on_request(conn, message):
                         continue
-                    send_frame(conn, protocol.make_response(
+                    send_msg(conn, protocol.make_response(
                         message["id"], {"echo": message["command"],
                                         "pid": self.pid}))
-        except OSError:
+        except (OSError, FramingError):  # client gone, maybe mid-frame
             return
         finally:
             conn.close()
@@ -152,7 +157,7 @@ class TestPipelining:
                 return True
             if message["command"] == "release":
                 for req_id, held_conn in sorted(held.items()):
-                    send_frame(held_conn, protocol.make_response(
+                    send_msg(held_conn, protocol.make_response(
                         req_id, {"echo": "slow", "order": "late"}))
                 held.clear()
                 return False                 # default reply for release
@@ -262,11 +267,11 @@ class TestScatterGather:
         def verbs(conn, message):
             command = message["command"]
             if command == "set_break":
-                send_frame(conn, protocol.make_response(
+                send_msg(conn, protocol.make_response(
                     message["id"], {"id": 7, "file": "app.py", "line": 3}))
                 return True
             if command == "resume_all":
-                send_frame(conn, protocol.make_response(
+                send_msg(conn, protocol.make_response(
                     message["id"], {"resumed": 2}))
                 return True
             return False
@@ -304,3 +309,36 @@ class TestFleetHealth:
             assert 0 <= rtt["min"] <= rtt["p50"] <= rtt["max"]
             assert rtt["slowest_pid"] in {s.pid for s in servers}
             assert health["miss_budget_used"]["max"] < 1.0
+
+
+class TestSlowPeer:
+    def test_channel_past_high_water_is_lost_not_waited_on(self, fleet,
+                                                           waiter):
+        """A server that stops reading: the requesting thread gets a
+        prompt SessionLostError once the channel holds more than the
+        high-water mark, and the session is lost with the reason."""
+        release = threading.Event()
+
+        def stop_reading(conn, message):
+            release.wait(30)  # this serve thread reads nothing more
+            return True
+
+        server = fleet(970001, on_request=stop_reading)
+        server.listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF,
+                                   4096)  # inherited by the accepted conn
+        with DebugClient() as client:
+            try:
+                session = client.attach("127.0.0.1", server.port,
+                                        heartbeat_interval=0)
+                session._cmd_channel.sock.setsockopt(  # noqa: SLF001
+                    socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+                blob = "b" * 65536
+                started = time.monotonic()
+                with pytest.raises(SessionLostError):
+                    for _ in range(4 * HIGH_WATER_BYTES // len(blob)):
+                        session.request_async("stall", {"blob": blob})
+                assert time.monotonic() - started < 5.0
+                waiter(lambda: session.lost, message="loss verdict")
+                assert "slow peer" in session.lost_reason
+            finally:
+                release.set()

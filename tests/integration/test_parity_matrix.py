@@ -1,28 +1,21 @@
-"""Parity matrix: the fast path and the backend seam must be invisible.
+"""Parity matrix: the fast path must be invisible.
 
-The per-code fast path (LineTable probe + main-thread demotion) and the
-pluggable trace backend are pure dispatch optimisations — a debugging
-session must produce byte-identical *behaviour* whichever combination is
-live.  This module re-runs the breakpoint, stepping, suspend/resume,
-watchpoint and fork-following integration suites across every available
-{backend} × {fastpath on, off} variant by re-importing their test
-classes under variant-parametrized fixtures, plus one scripted in-process
-test that diffs the literal stop streams of a fastpath-on engine against
-a fastpath-off engine.
-
-On CPython 3.11 the matrix is settrace × {on, off}; when ``sys.
-monitoring`` exists (3.12+) the monitoring backend rows light up too.
+The per-code fast path (LineTable probe + main-thread demotion) is a
+pure dispatch optimisation — a debugging session must produce
+byte-identical *behaviour* with it on or off.  This module re-runs the
+breakpoint, stepping, suspend/resume, watchpoint and fork-following
+integration suites across the settrace × {fastpath on, off} rows by
+re-importing their test classes under variant-parametrized fixtures,
+plus one scripted in-process test that diffs the literal stop streams
+of a fastpath-on engine against a fastpath-off engine.
 """
+
+import threading
 
 import pytest
 
 from repro.client import DebugClient
-from repro.tracing.backends import (
-    BACKEND_ENV,
-    FASTPATH_ENV,
-    MonitoringBackend,
-)
-from repro.tracing.engine import TraceEngine
+from repro.tracing.engine import FASTPATH_ENV, TraceEngine
 
 # Re-collected under this module's variant fixtures (pytest resolves
 # fixtures from the *requesting* module, so these classes run against
@@ -44,18 +37,10 @@ from tests.unit.test_engine import BP_LINE, SRC, Scripted, loop_sum
 pytestmark = pytest.mark.forks
 
 
-def _variants():
-    variants = [("settrace", "1"), ("settrace", "0")]
-    if MonitoringBackend.available():
-        variants += [("monitoring", "1"), ("monitoring", "0")]
-    return variants
-
-
-@pytest.fixture(params=_variants(),
+@pytest.fixture(params=[("settrace", "1"), ("settrace", "0")],
                 ids=lambda v: f"{v[0]}-fastpath{'on' if v[1] == '1' else 'off'}")
 def trace_variant(request, monkeypatch):
-    backend, fastpath = request.param
-    monkeypatch.setenv(BACKEND_ENV, backend)
+    _hooks, fastpath = request.param
     monkeypatch.setenv(FASTPATH_ENV, fastpath)
     return request.param
 
@@ -66,7 +51,7 @@ def debug_pair(trace_variant, portfile_path):
 
     server = DebugServer(program="test", park_timeout=15.0)
     server.start()
-    assert server.engine.backend_name == trace_variant[0]
+    assert threading.gettrace() == server.engine._global_dispatch  # noqa: SLF001
     assert server.engine.fastpath == (trace_variant[1] == "1")
     client = DebugClient()
     session = client.attach("127.0.0.1", server.port)
@@ -82,7 +67,8 @@ def dionea(trace_variant, portfile_path):
     debugger = Dionea(program="test", portfile_path=portfile_path,
                       park_timeout=15.0)
     debugger.start()
-    assert debugger.server.engine.backend_name == trace_variant[0]
+    assert (threading.gettrace()
+            == debugger.server.engine._global_dispatch)  # noqa: SLF001
     yield debugger
     debugger.stop()
 
@@ -116,8 +102,7 @@ def _stop_signature(capture):
 
 def _run_variant(fastpath):
     """One breakpoint-then-step session; returns (result, signatures, hits)."""
-    engine = TraceEngine(park_timeout=5.0, backend="settrace",
-                         fastpath=fastpath)
+    engine = TraceEngine(park_timeout=5.0, fastpath=fastpath)
     script = Scripted(engine=engine,
                       actions=["step", "next", "continue"])
     bp = engine.breakpoints.add(SRC, BP_LINE)
@@ -138,13 +123,12 @@ class TestFastpathStopStreamParity:
 
     def test_fastpath_engine_actually_fastpathed(self):
         """Guard against the parity test silently comparing off vs off."""
-        engine = TraceEngine(park_timeout=5.0, backend="settrace",
+        engine = TraceEngine(park_timeout=5.0,
                              fastpath=True)
         assert engine.fastpath
         # An untouched file's code objects are irrelevant once a
         # breakpoint exists elsewhere — the probe must say so.
         engine.breakpoints.add("/dionea/elsewhere.py", 1)
         assert not engine.linetable.probe(loop_sum.__code__)
-        off = TraceEngine(park_timeout=5.0, backend="settrace",
-                          fastpath=False)
+        off = TraceEngine(park_timeout=5.0, fastpath=False)
         assert not off.fastpath

@@ -12,6 +12,7 @@ import threading
 import pytest
 
 from repro.util.errors import CommandError, SessionError
+from repro.util.ids import UEId
 
 SRC = os.path.abspath(__file__)
 
@@ -230,6 +231,39 @@ class TestSuspendResume:
             client.on_stop = None
             stop_flag.set()
             thread.join(10)
+
+    def test_suspend_waits_out_stdlib_entered_from_debugger_code(
+            self, debug_pair):
+        """A UE whose suspend comes due inside the client's request path
+        must not park in the stdlib code that path runs (it may hold the
+        session's Condition lock the client reactor needs): it parks at
+        its next user line, and the session stays alive."""
+        server, client, session = debug_pair
+        engine = server.engine
+
+        def user_line():
+            return "parked here"
+
+        def worker():
+            # Pend a suspend for this UE without injecting trace
+            # functions: its next traced events are the stdlib calls
+            # inside DebugSession.request.
+            engine.controller.request_suspend(UEId.current())
+            engine.refresh_quiet()
+            session.request("status")
+            return user_line()
+
+        thread, box = run_in_thread(worker)
+        view = client.wait_for_stop(timeout=10)[0]
+        try:
+            assert view.capture.reason == "suspend"
+            assert view.capture.top.function == "user_line"
+            assert session.request("status")["pid"] == os.getpid()
+            assert not session.lost
+        finally:
+            view.cont()
+            thread.join(10)
+        assert box["result"] == "parked here"
 
     def test_low_intrusive_one_thread_stopped_other_runs(self, debug_pair):
         """Footnote 1: only the suspended thread stops."""

@@ -111,7 +111,7 @@ class TestHeartbeat:
             client = DebugClient(
                 on_session_lost=lambda s, reason: lost.append(reason))
             session = client.attach("127.0.0.1", server.port)
-            server._listener.close()  # noqa: SLF001 - simulate a crash
+            server._reactor.close()  # noqa: SLF001 - simulate a crash
             waiter(lambda: session.lost, message="loss verdict")
             assert "closed unexpectedly" in session.lost_reason
             waiter(lambda: lost, message="session_lost event")
@@ -279,7 +279,7 @@ class TestSecondClient:
             assert not server.grace_pending
             assert winner.sessions()[0].request("info")["pid"] == \
                 os.getpid()
-            assert server._listener.running  # noqa: SLF001
+            assert server._reactor.running  # noqa: SLF001
             winner.close()
         finally:
             server.close()

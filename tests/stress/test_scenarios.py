@@ -20,6 +20,7 @@ from the default (tier-1) run by the ``-m "not stress"`` addopts.
 
 import errno
 import os
+import select
 import socket
 import time
 
@@ -41,7 +42,7 @@ from repro.testkit.scenarios import (
     ScenarioRunner,
     register_scenario,
 )
-from repro.util.framing import recv_frame, send_frame
+from repro.util.framing import RecvBuffer, SendBuffer
 from repro.util.portfile import PortFile, PortRecord
 
 pytestmark = [pytest.mark.stress, pytest.mark.forks]
@@ -125,10 +126,39 @@ def test_fork_failure_storm():
 #    determinism witness: its hit sequence is purely local)
 
 
+class FramedPair:
+    """A socketpair moved by the reactor's I/O pumps: the sender
+    pumps a blocking end, the receiver pumps a non-blocking end."""
+
+    def __init__(self, ctx):
+        self.left, self.right = socket.socketpair()
+        self.right.setblocking(False)
+        ctx.defer(self.left.close)
+        ctx.defer(self.right.close)
+        self.out = SendBuffer()
+        self.inbox = RecvBuffer()
+        self.ready = []
+
+    def send(self, message):
+        self.out.append_message(message)
+        while not self.out.pump(self.left):
+            pass  # injected EINTR: resume
+
+    def recv(self, timeout=10.0):
+        deadline = time.monotonic() + timeout
+        while not self.ready:
+            messages, eof = self.inbox.pump(self.right)
+            self.ready.extend(messages)
+            assert not eof, "socketpair closed under the receiver"
+            if not self.ready:
+                remaining = deadline - time.monotonic()
+                assert remaining > 0, "frame never arrived"
+                select.select([self.right], [], [], remaining)
+        return self.ready.pop(0)
+
+
 def _framing_partial_delivery(ctx):
-    left, right = socket.socketpair()
-    ctx.defer(left.close)
-    ctx.defer(right.close)
+    pair = FramedPair(ctx)
     plan = FaultPlan(ctx.seed, {
         "net.frame.send": (Fault.partial(4), 0.4),
         "net.frame.recv": (Fault.partial(3), 0.4),
@@ -137,8 +167,8 @@ def _framing_partial_delivery(ctx):
                 for i in range(40)]
     with plan:
         for message in payloads:
-            send_frame(left, message)
-            assert recv_frame(right) == message
+            pair.send(message)
+            assert pair.recv() == message
         ctx.details["fire_logs"] = plan.fire_logs()
         ctx.details["stats"] = plan.stats()
     hits, fires = plan.stats()["net.frame.send"]
@@ -337,6 +367,11 @@ def _client_server_partial_frames(ctx):
     assert session.closed
     hits, _ = ctx.details["stats"]["net.frame.send"]
     assert hits >= 15, "requests did not cross the framed send path"
+    # Every armed point sat on the path this scenario drives: a point
+    # that stops firing (renamed, or bypassed by a new read path) is a
+    # silently weaker test, not a passing one.
+    for point, (hits, _fires) in ctx.details["stats"].items():
+        assert hits > 0, f"armed point {point} was never hit"
 
 
 def test_client_server_partial_frames():
@@ -436,17 +471,15 @@ def test_connect_refused_then_recovers():
 
 
 def _frame_delay_storm(ctx):
-    left, right = socket.socketpair()
-    ctx.defer(left.close)
-    ctx.defer(right.close)
+    pair = FramedPair(ctx)
     plan = FaultPlan(ctx.seed, {
         "net.frame.send": (Fault.delay(0.01), 0.3),
         "net.frame.recv": (Fault.delay(0.01), 0.3),
     })
     with plan:
         for seq in range(30):
-            send_frame(left, {"seq": seq})
-            assert recv_frame(right) == {"seq": seq}
+            pair.send({"seq": seq})
+            assert pair.recv() == {"seq": seq}
         ctx.details["stats"] = plan.stats()
 
 

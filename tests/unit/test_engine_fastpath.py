@@ -1,4 +1,4 @@
-"""Unit tests: the trace-dispatch fast path and the settrace backend's
+"""Unit tests: the trace-dispatch fast path and the engine's
 armed/disarmed hook lifecycle.
 
 What the tentpole must guarantee, pinned here in-process:
@@ -41,8 +41,7 @@ def wait_until(predicate, timeout=5.0, message="condition"):
 
 
 def _fastpath_engine(**kwargs):
-    return TraceEngine(park_timeout=5.0, backend="settrace",
-                       fastpath=True, **kwargs)
+    return TraceEngine(park_timeout=5.0, fastpath=True, **kwargs)
 
 
 class TestDemotionLifecycle:

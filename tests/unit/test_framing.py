@@ -9,10 +9,10 @@ from repro.util.errors import FramingError
 from repro.util.framing import (
     MAX_FRAME_BYTES,
     FrameDecoder,
+    RecvBuffer,
+    SendBuffer,
     decode_payload,
     encode_frame,
-    recv_frame,
-    send_frame,
 )
 
 
@@ -108,12 +108,32 @@ class TestFrameDecoder:
             decode_payload(b"\xff\xfe")
 
 
+def send_message(sock, message):
+    out = SendBuffer()
+    out.append(encode_frame(message))
+    assert out.pump(sock)  # a blocking socket takes the whole frame
+
+
+def recv_messages(sock, count):
+    """Pump *sock* until *count* messages arrived (or EOF)."""
+    inbox = RecvBuffer()
+    got = []
+    while len(got) < count:
+        messages, eof = inbox.pump(sock)
+        got.extend(messages)
+        if eof:
+            break
+    return got
+
+
 class TestBlockingHelpers:
+    """The one pair of I/O pumps over a socketpair, end to end."""
+
     def test_send_recv_over_socketpair(self):
         a, b = socket.socketpair()
         try:
-            send_frame(a, {"cmd": "step"})
-            assert recv_frame(b) == {"cmd": "step"}
+            send_message(a, {"cmd": "step"})
+            assert recv_messages(b, 1) == [{"cmd": "step"}]
         finally:
             a.close()
             b.close()
@@ -122,7 +142,7 @@ class TestBlockingHelpers:
         a, b = socket.socketpair()
         a.close()
         try:
-            assert recv_frame(b) is None
+            assert RecvBuffer().pump(b) == ([], True)
         finally:
             b.close()
 
@@ -133,7 +153,7 @@ class TestBlockingHelpers:
             a.sendall(frame[:10])
             a.close()
             with pytest.raises(FramingError):
-                recv_frame(b)
+                recv_messages(b, 1)
         finally:
             b.close()
 
@@ -141,9 +161,8 @@ class TestBlockingHelpers:
         a, b = socket.socketpair()
         try:
             for i in range(50):
-                send_frame(a, {"seq": i})
-            for i in range(50):
-                assert recv_frame(b) == {"seq": i}
-        finally:
+                send_message(a, {"seq": i})
             a.close()
+            assert recv_messages(b, 50) == [{"seq": i} for i in range(50)]
+        finally:
             b.close()

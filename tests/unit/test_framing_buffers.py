@@ -1,6 +1,6 @@
 """Unit: resumable non-blocking framing buffers (the reactor seam).
 
-The client reactor's I/O correctness reduces to two properties:
+The reactor's I/O correctness, on both sides, reduces to two properties:
 
 * :class:`SendBuffer` — no byte is ever re-sent or dropped, no matter
   where the kernel (or an injected fault) cuts a write;
@@ -10,7 +10,9 @@ The client reactor's I/O correctness reduces to two properties:
 Both are proven here against scripted sockets and against the testkit's
 ``net.frame.send`` / ``net.frame.recv`` injection points (short I/O and
 EINTR schedules), so the stress tier's fault schedules exercise the same
-resume paths the selector loop runs in production.
+resume paths the selector loop runs in production.  The debug server's
+buffers consult their own points (``server.conn.send`` /
+``server.listener.recv``) through the same code.
 """
 
 import pytest
@@ -198,3 +200,27 @@ class TestRecvBuffer:
                 got.extend(messages)
                 assert not eof
         assert got == [message]
+
+
+class TestInjectionPointNames:
+    def test_server_send_point_is_a_dead_peer(self):
+        buf = SendBuffer("server.conn.send")
+        buf.append_message({"a": 1})
+        with faults.armed("server.conn.send",
+                          faults.Fault.os_error(32, "injected EPIPE")):
+            with pytest.raises(OSError):
+                buf.pump(ScriptedSendSocket())
+        assert buf.pump(ScriptedSendSocket()) is True
+
+    def test_server_recv_point_clamps_reads(self):
+        message = {"clamped": True}
+        wire = encode_frame(message)
+        buf = RecvBuffer("server.listener.recv")
+        with faults.armed("server.listener.recv", faults.Fault.partial(2),
+                          faults.Schedule.always()):
+            sock = ScriptedRecvSocket([wire[i:i + 2]
+                                       for i in range(0, len(wire), 2)])
+            messages, eof = buf.pump(sock)
+            stats = faults.registry().stats("server.listener.recv")
+        assert messages == [message] and not eof
+        assert stats[1] >= len(wire) // 2

@@ -152,6 +152,29 @@ class TestShutdown:
             os.unlink(path)
 
 
+class TestDescriptors:
+    @staticmethod
+    def open_fds():
+        return sorted(os.listdir("/proc/self/fd"))
+
+    def test_jobs_leave_no_descriptors_behind(self):
+        """Each job's task and result queues close with the pool."""
+        with Pool(2) as pool:  # warm lazy module state outside the count
+            pool.map(square, range(4))
+        before = self.open_fds()
+        for _ in range(3):
+            with Pool(2) as pool:
+                assert pool.map(square, range(8)) == [x * x
+                                                      for x in range(8)]
+        assert self.open_fds() == before
+
+    def test_terminate_closes_the_queues(self):
+        before = self.open_fds()
+        pool = Pool(2)
+        pool.terminate()
+        assert self.open_fds() == before
+
+
 class TestChunkRunner:
     def test_run_chunk(self):
         assert _run_chunk(square, [1, 2, 3]) == [1, 4, 9]

@@ -87,39 +87,61 @@ def find_fastpath_metric_lookups(path: str) -> list:
     return hits
 
 
-#: The client reactor loop must never block: no sleeping, and no direct
-#: socket I/O calls — all I/O goes through the resumable SendBuffer /
+#: The reactor loop must never block: no sleeping, and no direct socket
+#: I/O calls — all I/O goes through the resumable SendBuffer /
 #: RecvBuffer pumps in repro.util.framing, and all waiting through the
 #: selector timeout.  A casually added ``time.sleep`` or ``sock.recv``
-#: in that module stalls EVERY attached session at once.
-REACTOR_MODULE = os.path.join("src", "repro", "client", "reactor.py")
+#: stalls EVERY channel of that loop at once: every attached session on
+#: the client, the debuggee's only listener on the server.  The rule
+#: covers the whole reactor module and the server handlers the loop
+#: calls directly.
+REACTOR_MODULE = os.path.join("src", "repro", "util", "reactor.py")
+REACTOR_HANDLER_MODULES = {
+    os.path.join("src", "repro", "server", "debugserver.py"): (
+        "_on_messages", "_handle_hello", "_handle_ping",
+        "_handle_request", "_handle_disconnect"),
+}
 REACTOR_BANNED_ATTRS = {"sleep", "recv", "recv_into", "sendall",
                         "recvfrom", "accept"}
-REACTOR_BANNED_NAMES = {"recv_frame", "send_frame", "sleep"}
+REACTOR_BANNED_NAMES = {"sleep"}
 
 
-def find_reactor_blocking_calls(path: str) -> list:
-    """(lineno, source) for every blocking-looking call in the reactor.
+def find_reactor_blocking_calls(path: str, function_names=None) -> list:
+    """(lineno, source) for every blocking-looking call on the loop.
 
     Flags calls of ``<anything>.sleep/.recv/.recvfrom/.recv_into/
-    .sendall/.accept`` and bare calls of ``recv_frame``/``send_frame``/
-    ``sleep``.  (``SendBuffer.pump``'s own ``sock.send`` lives in
-    repro.util.framing, outside this module — by design.)
+    .sendall/.accept`` and bare ``sleep``, in the whole file or — given
+    *function_names* — only inside those functions (nested defs
+    included; a missing function yields a sentinel entry, so a rename
+    updates this lint instead of silently disabling it).
+    (``SendBuffer.pump``'s own ``sock.send`` lives in repro.util.framing,
+    outside the scanned code — by design.)
     """
     with open(path, "r", encoding="utf-8") as fh:
         source = fh.read()
     tree = ast.parse(source, filename=path)
+    scopes = [("", tree)]
     hits = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if (isinstance(func, ast.Attribute)
-                and func.attr in REACTOR_BANNED_ATTRS):
-            hits.append((node.lineno, f".{func.attr}(...)"))
-        elif (isinstance(func, ast.Name)
-                and func.id in REACTOR_BANNED_NAMES):
-            hits.append((node.lineno, f"{func.id}(...)"))
+    if function_names is not None:
+        found = {node.name: node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and node.name in function_names}
+        scopes = [(f" in {name}", found[name])
+                  for name in function_names if name in found]
+        hits = [(0, f"function {name!r} not found — update "
+                    f"tools/lint_hotpath.py for the rename")
+                for name in function_names if name not in found]
+    for where, scope in scopes:
+        for node in ast.walk(scope):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Attribute)
+                    and func.attr in REACTOR_BANNED_ATTRS):
+                hits.append((node.lineno, f".{func.attr}(...){where}"))
+            elif (isinstance(func, ast.Name)
+                    and func.id in REACTOR_BANNED_NAMES):
+                hits.append((node.lineno, f"{func.id}(...){where}"))
     return hits
 
 
@@ -260,16 +282,20 @@ def main(argv: list) -> int:
             f"{rel}:{lineno}: {what} inside {FASTPATH_FUNCTION} "
             f"(no obs lookups on the global-trace fast path; use a "
             f"plain int + callback gauge)")
-    reactor_path = os.path.join(root, REACTOR_MODULE)
-    if not os.path.isfile(reactor_path):
-        print(f"lint-hotpath: missing {reactor_path}", file=sys.stderr)
-        return 2
-    for lineno, what in find_reactor_blocking_calls(reactor_path):
-        rel = os.path.relpath(reactor_path, root)
-        problems.append(
-            f"{rel}:{lineno}: blocking call {what} in the client "
-            f"reactor (the loop serves every session; wait via the "
-            f"selector, do I/O via the framing pumps)")
+    reactor_scans = [(REACTOR_MODULE, None)]
+    reactor_scans += sorted(REACTOR_HANDLER_MODULES.items())
+    for module, function_names in reactor_scans:
+        reactor_path = os.path.join(root, module)
+        if not os.path.isfile(reactor_path):
+            print(f"lint-hotpath: missing {reactor_path}", file=sys.stderr)
+            return 2
+        for lineno, what in find_reactor_blocking_calls(reactor_path,
+                                                        function_names):
+            rel = os.path.relpath(reactor_path, root)
+            problems.append(
+                f"{rel}:{lineno}: blocking call {what} on the reactor "
+                f"thread (the loop serves every channel; wait via the "
+                f"selector, do I/O via the framing pumps)")
     for module, function_names in sorted(FORK_PHASE_MODULES.items()):
         phase_path = os.path.join(root, module)
         if not os.path.isfile(phase_path):
@@ -297,8 +323,9 @@ def main(argv: list) -> int:
         print("\n".join(problems))
         return 1
     print(f"lint-hotpath: OK ({', '.join(HOT_PACKAGES)} are "
-          f"logging-free; {FASTPATH_FUNCTION} is obs-free; the client "
-          f"reactor has no blocking calls; fork-phase bodies have no "
+          f"logging-free; {FASTPATH_FUNCTION} is obs-free; the reactor "
+          f"and its server handlers have no blocking calls; fork-phase "
+          f"bodies have no "
           f"blocking calls; timeline modules pair wall with monotonic)")
     return 0
 
