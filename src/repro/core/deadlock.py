@@ -80,10 +80,13 @@ class WaitForGraph:
                 if not holders:
                     self._holds.pop(resource, None)
 
-    def reset(self) -> None:
-        with self._lock:
-            self._waits.clear()
-            self._holds.clear()
+    def reset_after_fork(self) -> None:
+        """Child fork handler: fresh lock, assignments only — every
+        blocking repro.mp wait takes the lock, so a parent thread may
+        have held it at the fork."""
+        self._lock = threading.Lock()
+        self._waits = {}
+        self._holds = {}
 
     # -- queries ----------------------------------------------------------------
 
@@ -265,4 +268,4 @@ class DeadlockDetector:
     def reset_after_fork(self) -> None:
         """Child fork handler: inherited waits/holds describe parent
         threads that no longer exist."""
-        self.graph.reset()
+        self.graph.reset_after_fork()

@@ -38,9 +38,8 @@ from ..forkhooks.syncobjects import SyncObjectRegistry
 from ..obs import causality
 from ..obs import metrics as obs_metrics
 from ..obs.blackbox import BLACKBOX, REASON_EXEC, REASON_STOP
-from ..util.errors import ForkHookError
 from ..server.debugserver import DebugServer
-from ..util.errors import ReproError
+from ..util.errors import ForkHookError, ReproError
 from ..util.ids import UEId
 from ..util.portfile import PortFile, default_portfile_path
 from ..util.ringlog import debug_event
@@ -92,7 +91,6 @@ class Dionea:
                  port: int = 0,
                  run_id: Optional[str] = None,
                  portfile_path: Optional[str] = None,
-                 fork_backend: str = "alias",
                  park_timeout: Optional[float] = 60.0,
                  disturb: bool = False,
                  capture_io: bool = False,
@@ -121,7 +119,7 @@ class Dionea:
             capture_io=capture_io,
             client_loss_grace=client_loss_grace,
         )
-        self.patcher = ForkPatcher(self.fork_registry, backend=fork_backend)
+        self.patcher = ForkPatcher(self.fork_registry)
         self.patcher.on_child_forked = self._record_child
         self.server.on_detach = self._on_server_detach
         # A disturb toggle must invalidate the engine's fast-path flag.
@@ -179,28 +177,18 @@ class Dionea:
         return self
 
     def stop(self, remove_portfile: bool = True) -> None:
-        global _current
         if not self._started:
             return
-        self._started = False
         # Orderly shutdown is a terminal event too: without this marker
         # the timeline would report a clean exit as an unclean death.
         BLACKBOX.force_flush(REASON_STOP, terminal=True)
-        if self.patcher.installed:
-            self.patcher.uninstall()
-        try:
-            uninstall_dionea_handlers(self.fork_registry)
-        except ReproError:
-            pass
+        self._teardown()
         self.server.close()
         if remove_portfile:
             try:
                 self.portfile.remove()
             except OSError:
                 pass
-        with _current_lock:
-            if _current is self:
-                _current = None
         debug_event("dionea", "stopped")
 
     def __enter__(self) -> "Dionea":
@@ -230,24 +218,27 @@ class Dionea:
 
     def _on_server_detach(self, reason: str) -> None:
         """Server half is down (detach); take down the debugger half."""
+        self._teardown()
+        debug_event("dionea", f"debugger detached: {reason}")
+
+    def _teardown(self) -> None:
+        """The debugger half of stop() and detach: alias, handlers, slot."""
         global _current
         self._started = False
-        if self.patcher.installed:
-            try:
-                self.patcher.uninstall()
-            except ForkHookError:
-                # Someone re-patched os.fork over us; restoring would
-                # clobber their wrapper — leave it, our bracket is a
-                # pass-through once the handlers are unregistered.
-                pass
+        try:
+            self.patcher.uninstall()
+        except ForkHookError:
+            # Someone re-patched os.fork over us; restoring would
+            # clobber their wrapper.  Ours stays in their chain as a
+            # bare pass-through.
+            pass
         try:
             uninstall_dionea_handlers(self.fork_registry)
-        except ReproError:
-            pass
+        except ForkHookError:
+            pass  # detached before start() registered them
         with _current_lock:
             if _current is self:
                 _current = None
-        debug_event("dionea", f"debugger detached: {reason}")
 
     # -- parent-side fork bookkeeping ---------------------------------------------
 

@@ -102,7 +102,8 @@ class DisturbMode:
         a new UE — its pid differs from the (inherited) primary's, so
         its first traced event parks it until the client, which
         auto-attached through the port file, chooses to release it.
-        Only the disturbed-UE list (parent bookkeeping) is cleared.
+        Only the disturbed-UE list (parent bookkeeping) is cleared, under
+        a fresh lock (a parent thread may have held the old one).
         """
-        with self._lock:
-            self._disturbed = []
+        self._lock = threading.Lock()
+        self._disturbed = []

@@ -19,10 +19,13 @@
                             debuggee, and finally re-enable the tracing
                             that was disabled in A.
 
-The handlers are assembled here as one :class:`~repro.forkhooks.registry.
-HandlerSet` so their relative order with any other registered handlers
-follows POSIX ``pthread_atfork`` discipline (section 5.2: other fork
-handlers run along with ours).
+The three phases are one trusted :class:`~repro.forkhooks.registry.
+HandlerSet`, Dionea's only registration, so their order relative to any
+other registered handlers follows POSIX ``pthread_atfork`` discipline
+(section 5.2: other fork handlers run along with ours).  Phase C is the
+one child-side reset path: every step runs in the order written here,
+and none waits on a lock the child inherited — each reset replaces the
+lock it guards before touching the state behind it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from typing import Optional, TYPE_CHECKING
 
 from .. import obs
 from ..forkhooks.registry import ForkHandlerRegistry, HandlerSet
-from ..util.errors import ForkHookError
 from ..forkhooks.syncobjects import SyncObjectRegistry
 from ..server.debugserver import DebugServer
 from ..tracing.engine import TraceEngine
@@ -42,7 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .disturb import DisturbMode
 
 DIONEA_HANDLER_LABEL = "dionea"
-OBS_HANDLER_LABEL = "dionea-obs"
 
 
 def install_dionea_handlers(
@@ -54,27 +55,6 @@ def install_dionea_handlers(
     """Register phases A/B/C on *registry*; returns the handler set."""
 
     engine: TraceEngine = server.engine
-
-    def handle_child_obs() -> None:
-        # Telemetry fork-awareness: the child inherits the parent's
-        # metric shards and span ring, which describe threads that do
-        # not exist here and a pid that is not ours — the telemetry
-        # flavour of Fig. 4's stale metadata.  Drop them and re-label
-        # with the child's identity.  Registered BEFORE the main dionea
-        # set so it runs FIRST among child handlers: the dionea child
-        # phase's own per-hook timings then land in the child's fresh
-        # registry instead of being wiped.
-        obs.reset_after_fork(labels={"program": server.session.program})
-
-    try:  # a stale registration from an aborted install must not wedge us
-        registry.unregister(OBS_HANDLER_LABEL)
-    except ForkHookError:
-        pass
-    # trusted=True: Dionea's own sets run inline on the forking thread
-    # (they own thread-affine state — RLocks, trace hooks) and are never
-    # sandboxed or quarantined; their failures degrade the child instead.
-    registry.register(OBS_HANDLER_LABEL, child=handle_child_obs,
-                      trusted=True)
 
     def prepare_fork() -> None:
         # A — take ownership of the debuggee's sync objects so the one
@@ -95,7 +75,22 @@ def install_dionea_handlers(
         debug_event("handlers", "phase B complete (parent resumed)")
 
     def handle_child_at_fork() -> None:
-        # C — in paper order:
+        # C — telemetry first: the child inherits the parent's metric
+        # shards and span ring, which describe threads that do not
+        # exist here and a pid that is not ours (the telemetry flavour
+        # of Fig. 4's stale metadata).  Resetting them before anything
+        # else records lands every later phase-C timing in the child's
+        # fresh registry.  Called through the module attribute.  If it
+        # fails, the child still re-establishes itself before the
+        # registry degrades it: a degrade before server.reinit_after_fork
+        # would detach the parent's inherited sockets and pid.
+        try:
+            obs.reset_after_fork(labels={"program": server.session.program})
+        finally:
+            reestablish_child()
+
+    def reestablish_child() -> None:
+        # C, in paper order:
         # "Initialize the synchronization objects,"
         sync_registry.reinit_after_fork()
         # "close the inherited sockets, initialize the data structures,
@@ -115,6 +110,9 @@ def install_dionea_handlers(
         engine.enable()
         debug_event("handlers", "phase C complete (child re-established)")
 
+    # trusted=True: Dionea's phases run inline on the forking thread
+    # (they own thread-affine state — RLocks, trace hooks) and are never
+    # sandboxed or quarantined; their failures degrade the child instead.
     return registry.register(
         DIONEA_HANDLER_LABEL,
         prepare=prepare_fork,
@@ -126,7 +124,3 @@ def install_dionea_handlers(
 
 def uninstall_dionea_handlers(registry: ForkHandlerRegistry) -> None:
     registry.unregister(DIONEA_HANDLER_LABEL)
-    try:
-        registry.unregister(OBS_HANDLER_LABEL)
-    except ForkHookError:
-        pass

@@ -1,6 +1,6 @@
 """Fork handlers: the paper's core mechanism (sections 5.2-5.4)."""
 
-from .augment import ForkPatcher, active_patcher
+from .augment import ForkPatcher
 from .registry import (
     ForkHandlerRegistry,
     HandlerFailure,
@@ -8,17 +8,11 @@ from .registry import (
     run_around_fork,
 )
 from .resilience import PhaseTimeout, Quarantine, ResiliencePolicy
-from .syncobjects import (
-    GLOBAL_SYNC_REGISTRY,
-    ManagedSyncObject,
-    SyncObjectRegistry,
-    manage_lock,
-)
+from .syncobjects import ManagedSyncObject, SyncObjectRegistry, manage_lock
 
 __all__ = [
-    "ForkPatcher", "active_patcher",
+    "ForkPatcher",
     "ForkHandlerRegistry", "HandlerFailure", "HandlerSet", "run_around_fork",
     "PhaseTimeout", "Quarantine", "ResiliencePolicy",
-    "GLOBAL_SYNC_REGISTRY", "ManagedSyncObject", "SyncObjectRegistry",
-    "manage_lock",
+    "ManagedSyncObject", "SyncObjectRegistry", "manage_lock",
 ]

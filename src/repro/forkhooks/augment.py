@@ -7,24 +7,13 @@ Paper Listing 4 shows Dionea's Python technique verbatim::
 
 i.e. a *method alias*: the original fork is saved and a wrapper installed
 that brackets it with the prepare/parent/child handlers (phases A/B/C of
-section 5.4).  We reproduce that mechanism as :class:`ForkPatcher`, and —
-because the reproduction targets modern CPython — also offer the
-interpreter-native registration path ``os.register_at_fork`` (added in
-3.7, long after the paper) as an alternative backend.
+section 5.4).  We reproduce that mechanism as :class:`ForkPatcher`; it is
+the only interception point.  The wrapper runs the one bracket,
+:func:`~repro.forkhooks.registry.run_around_fork`, and hands the parent
+the child's pid, which an interpreter-level at-fork hook never sees.
 
-Both backends drive the same :class:`~repro.forkhooks.registry.
-ForkHandlerRegistry`, so handler semantics are identical; only the
-interception point differs:
-
-* ``alias`` backend (the paper's): catches every call through the
-  ``os.fork`` *name*.  Faithful, and additionally able to *abort* the fork
-  when a prepare handler fails — something ``register_at_fork`` cannot do.
-* ``atfork`` backend: catches forks the alias cannot see (extension
-  modules calling ``fork(2)`` directly through the C API), but prepare
-  failures can only be logged, not veto the fork.
-
-Only one backend may be active at a time, otherwise every handler would
-run twice around one fork.
+Only one patcher may be installed at a time, otherwise every handler
+would run twice around one fork.
 """
 
 from __future__ import annotations
@@ -33,15 +22,11 @@ import os
 import threading
 from typing import Callable, Optional
 
-from ..obs import causality
 from ..obs import metrics as obs_metrics
-from ..obs.blackbox import BLACKBOX
-from ..obs.spans import SPANS
-from ..testkit import faults
 from ..util.errors import ForkHookError
 from ..util.ringlog import debug_event
 from . import resilience
-from .registry import ForkHandlerRegistry
+from .registry import ForkHandlerRegistry, run_around_fork
 
 _install_lock = threading.Lock()
 _active_patcher: Optional["ForkPatcher"] = None
@@ -50,12 +35,8 @@ _active_patcher: Optional["ForkPatcher"] = None
 class ForkPatcher:
     """Owns the patched ``os.fork`` and routes it through a registry."""
 
-    def __init__(self, registry: ForkHandlerRegistry,
-                 backend: str = "alias"):
-        if backend not in ("alias", "atfork"):
-            raise ForkHookError(f"unknown backend: {backend!r}")
+    def __init__(self, registry: ForkHandlerRegistry):
         self.registry = registry
-        self.backend = backend
         self._original_fork: Optional[Callable[[], int]] = None
         self._wrapper: Optional[Callable[[], int]] = None
         self._installed = False
@@ -65,8 +46,6 @@ class ForkPatcher:
         self._reentry = threading.local()
         #: Called in the parent with the child's pid after a successful
         #: fork (paper Listing 4 appends the pid to ``_processes``).
-        #: Only available on the ``alias`` backend — ``register_at_fork``
-        #: callbacks never see the pid.
         self.on_child_forked: Optional[Callable[[int], None]] = None
 
     # -- lifecycle ------------------------------------------------------------
@@ -80,47 +59,46 @@ class ForkPatcher:
         with _install_lock:
             if self._installed:
                 raise ForkHookError("patcher already installed")
+            if self._original_fork is not None:
+                raise ForkHookError(
+                    "patcher is still wrapped by a foreign os.fork")
             if _active_patcher is not None:
                 raise ForkHookError(
                     "another fork patcher is active; uninstall it first")
-            if self.backend == "alias":
-                self._original_fork = os.fork
-                # Bind the wrapper once: attribute access on a method
-                # creates a fresh bound object every time, and uninstall
-                # must compare identities.
-                self._wrapper = self._augmented_fork
-                os.fork = self._wrapper  # type: ignore[assignment]
-            else:
-                # register_at_fork entries cannot be unregistered, so the
-                # callbacks consult self._installed and become no-ops after
-                # uninstall().  prepare/parent/child order matches POSIX.
-                os.register_at_fork(
-                    before=self._atfork_before,
-                    after_in_parent=self._atfork_parent,
-                    after_in_child=self._atfork_child,
-                )
+            self._original_fork = os.fork
             self._installed = True
             _active_patcher = self
-            debug_event("forkhooks", f"fork patcher installed ({self.backend})")
+            # Bind the wrapper once: attribute access on a method
+            # creates a fresh bound object every time, and uninstall
+            # must compare identities.
+            self._wrapper = self._augmented_fork
+            os.fork = self._wrapper  # type: ignore[assignment]
+            debug_event("forkhooks", "fork patcher installed")
 
     def uninstall(self) -> None:
+        """Restore ``os.fork`` and free the one-patcher slot.
+
+        If someone re-patched ``os.fork`` over us, their wrapper still
+        calls ours: restoring would clobber theirs.  The chain is then
+        left alone, our wrapper becomes a bare pass-through, the slot is
+        freed all the same, and :class:`ForkHookError` tells the caller
+        that ``os.fork`` was not restored.
+        """
         global _active_patcher
         with _install_lock:
-            if not self._installed:
+            if self._original_fork is None:
                 return
-            if self.backend == "alias":
-                if os.fork is not self._wrapper:
-                    # Someone re-patched over us; restoring would clobber
-                    # their wrapper.  Refuse loudly rather than corrupt.
-                    raise ForkHookError(
-                        "os.fork was re-patched by someone else; "
-                        "cannot restore safely")
+            if os.fork is self._wrapper:
                 os.fork = self._original_fork  # type: ignore[assignment]
                 self._original_fork = None
             self._installed = False
             if _active_patcher is self:
                 _active_patcher = None
             debug_event("forkhooks", "fork patcher uninstalled")
+            if self._original_fork is not None:
+                raise ForkHookError(
+                    "os.fork was re-patched by someone else; left in "
+                    "place, this alias now passes straight through")
 
     def __enter__(self) -> "ForkPatcher":
         self.install()
@@ -129,10 +107,13 @@ class ForkPatcher:
     def __exit__(self, *exc_info) -> None:
         self.uninstall()
 
-    # -- alias backend ----------------------------------------------------------
+    # -- the alias ---------------------------------------------------------------
 
     def _augmented_fork(self) -> int:
         """The Dionea fork of Listing 4: A, fork, then B or C."""
+        if not self._installed:
+            # Uninstalled while a foreign wrapper still calls us.
+            return self._original_fork()
         if getattr(self._reentry, "depth", 0) \
                 or resilience.in_handler_context():
             # fork() called from inside a fork handler (directly, or by
@@ -147,86 +128,14 @@ class ForkPatcher:
             return self._original_fork()
         self._reentry.depth = 1
         try:
-            return self._bracketed_fork()
+            pid, is_child = run_around_fork(self.registry,
+                                            self._original_fork)
+            if not is_child and self.on_child_forked is not None:
+                try:
+                    self.on_child_forked(pid)
+                except Exception:  # noqa: BLE001 - bookkeeping must not break fork
+                    debug_event("forkhooks",
+                                "on_child_forked callback failed")
+            return pid
         finally:
             self._reentry.depth = 0
-
-    def _bracketed_fork(self) -> int:
-        registry = self.registry
-        # One span for the whole parent-side bracket (A → fork(2) → B):
-        # the window during which the debuggee is frozen by the fork
-        # protocol.  The child's copy of the open token dies with the
-        # obs fork reset, so only the parent records it.  The bracket
-        # parents on the forking thread's context — or the control verb
-        # that resumed this process — and its own context is *staged*
-        # so the child's obs handler can root the child's trace under
-        # it (the fork flow edge of the causal timeline).
-        bracket = SPANS.begin("fork.bracket", cat="fork",
-                              parent=causality.fork_parent_context())
-        causality.stage_fork(bracket.context)
-        try:
-            registry.run_prepare()  # A — may raise, aborting the fork
-        except BaseException:
-            causality.clear_pending_fork()
-            raise
-        try:
-            # Injection point fork.os_fork: a raised OSError (EAGAIN,
-            # ENOMEM...) is fork(2) itself failing after prepare ran —
-            # the unwind below must leave the parent exactly as found.
-            faults.maybe_fault("fork.os_fork")
-            pid = self._original_fork()
-        except BaseException:
-            causality.clear_pending_fork()
-            registry.run_parent()  # undo A; we are still the parent
-            obs_metrics.inc("fork.failures")
-            raise
-        if pid == 0:
-            registry.run_child()  # C
-            return 0
-        causality.clear_pending_fork()
-        registry.run_parent()  # B
-        if bracket.args is None:
-            bracket.args = {"child_pid": pid}
-        else:
-            bracket.args["child_pid"] = pid
-        bracket.end()
-        # Durable lineage: the bracket span carries child_pid, and a
-        # parent SIGKILLed later must still name its subtree post
-        # mortem.  No-op unless the black box is enabled.
-        BLACKBOX.flush()
-        obs_metrics.inc("fork.forks")
-        registry.note_clean_fork()
-        if self.on_child_forked is not None:
-            try:
-                self.on_child_forked(pid)
-            except Exception:  # noqa: BLE001 - bookkeeping must not break fork
-                debug_event("forkhooks", "on_child_forked callback failed")
-        return pid
-
-    # -- atfork backend ----------------------------------------------------------
-
-    def _atfork_before(self) -> None:
-        if not self._installed:
-            return
-        try:
-            self.registry.run_prepare()
-        except ForkHookError:
-            # register_at_fork offers no way to veto the fork; the prepare
-            # unwind already released what was acquired, so the child just
-            # starts undebugged.  Record it.
-            debug_event("forkhooks", "prepare failed under atfork backend; "
-                                     "fork proceeds undebugged")
-
-    def _atfork_parent(self) -> None:
-        if self._installed:
-            self.registry.run_parent()
-            obs_metrics.inc("fork.forks")
-
-    def _atfork_child(self) -> None:
-        if self._installed:
-            self.registry.run_child()
-
-
-def active_patcher() -> Optional[ForkPatcher]:
-    """The currently installed patcher, if any."""
-    return _active_patcher

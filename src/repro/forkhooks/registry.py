@@ -19,29 +19,32 @@ handlers nest lock acquisitions correctly — section 5.2 notes that "other
 hooked fork handlers will be called along with our fork handlers", so the
 registry must compose with handlers it does not own.
 
-Handler exceptions are contained: a failing prepare handler aborts the
-fork (its effects are unwound by running the parent handlers of everything
-that already prepared); failing parent/child handlers are recorded and the
-rest still run — half-configured debugging must not kill the debuggee.
-
-With a :class:`~repro.forkhooks.resilience.ResiliencePolicy` attached
-(what the Dionea facade does), the contract hardens into *do-no-harm*:
-untrusted handlers run under per-phase deadlines on a sacrificial
-thread, a handler that hangs or raises is undone, quarantined, and the
-fork **proceeds**; a failure in a *trusted* set (Dionea's own phases)
-flags the bracket so the child detaches the debugger cleanly instead of
-running half-debugged.  Without a policy, the legacy abort semantics
-above are preserved bit-for-bit.
+Every registry runs under a :class:`~repro.forkhooks.resilience.
+ResiliencePolicy` (the default one unless the caller passes its own),
+and one prepare-failure contract, *do-no-harm*: whatever handler fails,
+only that handler's own *parent* callback runs as its undo, its set is
+skipped for the rest of the bracket and, if untrusted, benched; every
+other set stays prepared, :meth:`ForkHandlerRegistry.run_prepare`
+returns and the fork **proceeds**.  Untrusted handlers run under
+per-phase deadlines on a sacrificial thread; a failure in a *trusted*
+set (Dionea's own phases) flags the bracket so the child detaches the
+debugger cleanly instead of running half-debugged.  Failing parent and
+child handlers are recorded and the rest still run — half-configured
+debugging must not kill the debuggee.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter as _perf_counter
 from typing import Callable, List, Optional, Tuple
 
+from ..obs import causality
 from ..obs import metrics as obs_metrics
+from ..obs.blackbox import BLACKBOX
+from ..obs.spans import SPANS
+from ..testkit import faults
 from ..util.errors import ForkHookError
 from ..util.ringlog import debug_event
 from .resilience import Quarantine, ResiliencePolicy, run_with_deadline
@@ -99,20 +102,24 @@ class HandlerFailure:
 
 
 class ForkHandlerRegistry:
-    """Thread-safe ordered registry of :class:`HandlerSet` objects.
+    """Ordered registry of :class:`HandlerSet` objects.
 
-    With *policy* set, the registry applies do-no-harm semantics (see
-    module docstring); ``on_child_degrade`` is called in the child when
-    a trusted phase failed and the debugger must detach rather than run
-    half-configured.
+    Applies *policy* (default :class:`ResiliencePolicy`) with the
+    do-no-harm contract of the module docstring; ``on_child_degrade`` is
+    called in the child when a trusted phase failed and the debugger
+    must detach rather than run half-configured.
+
+    The lock serialises registration only.  Every read is one list
+    copy, atomic under the GIL, so the phases never wait on it — in the
+    child it may have been copied held by a parent thread mid-register.
     """
 
     def __init__(self, policy: Optional[ResiliencePolicy] = None) -> None:
         self._lock = threading.RLock()
         self._handlers: List[HandlerSet] = []
         self._failures: List[HandlerFailure] = []
-        self.policy = policy
-        self.quarantine = Quarantine(policy) if policy is not None else None
+        self.policy = policy or ResiliencePolicy()
+        self.quarantine = Quarantine(self.policy)
         #: child-side degrade hook (set by the Dionea facade)
         self.on_child_degrade: Optional[Callable[[str], None]] = None
         #: per-bracket state (skip set, degrade reason) — thread-local
@@ -150,25 +157,21 @@ class ForkHandlerRegistry:
 
     @property
     def labels(self) -> List[str]:
-        with self._lock:
-            return [h.label for h in self._handlers]
+        return [h.label for h in self._snapshot()]
 
     @property
     def failures(self) -> List[HandlerFailure]:
-        with self._lock:
-            return list(self._failures)
+        return list(self._failures)
 
     def clear_failures(self) -> None:
-        with self._lock:
-            self._failures.clear()
+        self._failures.clear()
 
     # -- phase execution -----------------------------------------------------
 
     def _snapshot(self) -> List[HandlerSet]:
-        with self._lock:
-            return list(self._handlers)
+        return list(self._handlers)
 
-    # -- bracket-local state (do-no-harm mode) ------------------------------
+    # -- bracket-local state ---------------------------------------------------
 
     def _bracket_skips(self) -> set:
         skips = getattr(self._bracket, "skips", None)
@@ -184,22 +187,21 @@ class ForkHandlerRegistry:
 
     def note_clean_fork(self) -> None:
         """Parent side, after a completed fork: advance quarantine parole."""
-        if self.quarantine is not None:
-            self.quarantine.note_clean_fork()
+        self.quarantine.note_clean_fork()
 
     def _run_phase_callback(self, phase: str, handler_set: HandlerSet,
                             callback: Handler) -> None:
         """One phase callback, timed; untrusted ones under the deadline."""
-        if self.policy is not None and not handler_set.trusted:
+        if handler_set.trusted:
+            _timed(phase, handler_set.label, callback)
+        else:
             deadline = self.policy.prepare_deadline
             _timed(phase, handler_set.label,
                    lambda: run_with_deadline(handler_set.label, phase,
                                              callback, deadline))
-        else:
-            _timed(phase, handler_set.label, callback)
 
-    def _contain_prepare_failure(self, handler_set: HandlerSet,
-                                 exc: BaseException) -> None:
+    def _undo_failed_prepare(self, handler_set: HandlerSet,
+                             exc: BaseException) -> None:
         """Do-no-harm response to a failed/hung prepare: undo, bench, skip.
 
         The handler's own *parent* callback is its designated undo; it
@@ -223,71 +225,40 @@ class ForkHandlerRegistry:
                                          handler_set.parent)
             except BaseException as undo_exc:  # noqa: BLE001
                 self._record_failure(label, "undo", undo_exc)
-        skips = getattr(self._bracket, "skips", None)
-        if skips is not None:
-            skips.add(label)
+        self._bracket.skips.add(label)
         if handler_set.trusted:
             self._set_degrade(
                 f"trusted prepare {label!r} failed: {type(exc).__name__}")
-        elif self.quarantine is not None:
+        else:
             self.quarantine.record_failure(
                 label, f"prepare failed: {type(exc).__name__}")
 
     def run_prepare(self) -> List[HandlerSet]:
-        """Run prepare handlers (reverse order).
+        """Run prepare handlers (reverse order); never raises.
 
-        Returns the list of handler sets whose prepare phase completed, so
-        the caller can unwind exactly those if a later one fails.  On
-        failure the already-prepared sets have their *parent* callbacks run
-        (the parent phase is the designated "undo" of prepare, per POSIX
-        practice) and :class:`ForkHookError` is raised — the fork must not
-        proceed with half the locks held.
-
-        Under a contain-mode policy the failure path changes: the sick
-        handler alone is undone/benched and the fork proceeds — the
-        debuggee's ability to fork is never hostage to a handler.
+        Returns the handler sets that are prepared.  A set that is
+        benched, or whose prepare fails or outlives its deadline, is
+        left out: it is undone and skipped for the rest of the bracket
+        (see :meth:`_undo_failed_prepare`), and the fork proceeds —
+        the debuggee's ability to fork is never hostage to a handler.
         """
-        contain = self.policy is not None and self.policy.contain_prepare
-        if contain:
-            self._bracket.skips = set()
-            self._bracket.degrade = None
+        self._bracket.skips = set()
+        self._bracket.degrade = None
         prepared: List[HandlerSet] = []
         for handler_set in reversed(self._snapshot()):
-            if (contain and self.quarantine is not None
-                    and not handler_set.trusted
+            if (not handler_set.trusted
                     and self.quarantine.should_skip(handler_set.label)):
                 self._bracket.skips.add(handler_set.label)
                 continue
-            if handler_set.prepare is None:
-                prepared.append(handler_set)
-                continue
-            try:
-                self._run_phase_callback("prepare", handler_set,
-                                         handler_set.prepare)
-            except BaseException as exc:
-                if contain:
-                    self._contain_prepare_failure(handler_set, exc)
+            if handler_set.prepare is not None:
+                try:
+                    self._run_phase_callback("prepare", handler_set,
+                                             handler_set.prepare)
+                except BaseException as exc:
+                    self._undo_failed_prepare(handler_set, exc)
                     continue
-                debug_event("forkhooks",
-                            f"prepare handler {handler_set.label!r} raised "
-                            f"{type(exc).__name__}; unwinding")
-                self._unwind(prepared)
-                raise ForkHookError(
-                    f"prepare handler {handler_set.label!r} failed: {exc!r}"
-                ) from exc
             prepared.append(handler_set)
         return prepared
-
-    def _unwind(self, prepared: List[HandlerSet]) -> None:
-        # prepared is in execution order (i.e. reverse registration order);
-        # undo in the opposite order to keep lock nesting well-formed.
-        for handler_set in reversed(prepared):
-            if handler_set.parent is None:
-                continue
-            try:
-                handler_set.parent()
-            except BaseException as exc:  # noqa: BLE001
-                self._record_failure(handler_set.label, "unwind", exc)
 
     def run_parent(self) -> None:
         """Run parent handlers in registration order; contain failures."""
@@ -302,8 +273,7 @@ class ForkHandlerRegistry:
                                              handler_set.parent)
                 except BaseException as exc:  # noqa: BLE001
                     self._record_failure(handler_set.label, "parent", exc)
-                    if (self.quarantine is not None
-                            and not handler_set.trusted):
+                    if not handler_set.trusted:
                         self.quarantine.record_failure(
                             handler_set.label,
                             f"parent failed: {type(exc).__name__}")
@@ -313,11 +283,11 @@ class ForkHandlerRegistry:
     def run_child(self) -> None:
         """Run child handlers in registration order; contain failures.
 
-        In do-no-harm mode a *trusted* child failure (or a degrade flag
-        set by a trusted prepare failure) means the child cannot be
-        debugged safely: ``on_child_degrade`` fires so the facade can
-        detach the debugger — the child runs on, undebugged, output and
-        exit status untouched.
+        A *trusted* child failure (or a degrade flag set by a trusted
+        prepare failure) means the child cannot be debugged safely:
+        ``on_child_degrade`` fires so the facade can detach the
+        debugger — the child runs on, undebugged, output and exit
+        status untouched.
         """
         skips = self._bracket_skips()
         degrade = getattr(self._bracket, "degrade", None)
@@ -334,8 +304,7 @@ class ForkHandlerRegistry:
                     if handler_set.trusted and degrade is None:
                         degrade = (f"trusted child {handler_set.label!r} "
                                    f"failed: {type(exc).__name__}")
-                    elif (self.quarantine is not None
-                            and not handler_set.trusted):
+                    elif not handler_set.trusted:
                         self.quarantine.record_failure(
                             handler_set.label,
                             f"child failed: {type(exc).__name__}")
@@ -353,37 +322,31 @@ class ForkHandlerRegistry:
                         exc: BaseException) -> None:
         debug_event("forkhooks",
                     f"{phase} handler {label!r} raised {type(exc).__name__}")
-        with self._lock:
-            self._failures.append(HandlerFailure(label, phase, exc))
+        self._failures.append(HandlerFailure(label, phase, exc))
 
 
 def run_around_fork(registry: ForkHandlerRegistry,
                     fork: Callable[[], int]) -> Tuple[int, bool]:
     """Execute *fork* bracketed by the registry's three phases.
 
-    Returns ``(pid, is_child)``.  This is the skeleton both the augmented
-    ``os.fork`` (repro.forkhooks.augment) and tests drive.  The
+    Returns ``(pid, is_child)``.  This is the one bracket: the augmented
+    ``os.fork`` (repro.forkhooks.augment) and tests both drive it.  The
     ``fork.os_fork`` injection point fires between prepare and the fork
     call, standing in for ``fork(2)`` failing (EAGAIN/ENOMEM) at the
     worst moment.
     """
-    from ..obs import causality
-    from ..obs.spans import SPANS
-    from ..testkit import faults
     # The whole parent-side bracket (prepare → fork(2) → parent phase)
     # is one span: it is the window during which the debuggee is frozen
     # by the fork protocol.  The child's copy of the open token dies
-    # with the obs fork reset, so only the parent records it.  Staging
-    # the bracket's context is what lets the child's obs handler root
-    # its trace under this span (mirrors augment._bracketed_fork).
+    # with the obs fork reset, so only the parent records it.  The
+    # bracket parents on the forking thread's context — or the control
+    # verb that resumed this process — and its own context is *staged*
+    # so the child's phase C can root the child's trace under it (the
+    # fork flow edge of the causal timeline).
     bracket = SPANS.begin("fork.bracket", cat="fork",
                           parent=causality.fork_parent_context())
     causality.stage_fork(bracket.context)
-    try:
-        registry.run_prepare()
-    except BaseException:
-        causality.clear_pending_fork()
-        raise
+    registry.run_prepare()
     try:
         faults.maybe_fault("fork.os_fork")
         pid = fork()
@@ -408,7 +371,6 @@ def run_around_fork(registry: ForkHandlerRegistry,
     # the bracket span (with its child_pid) is what lets the post-mortem
     # timeline name the subtree.  No-op unless the black box is enabled;
     # non-blocking when it is.
-    from ..obs.blackbox import BLACKBOX
     BLACKBOX.flush()
     obs_metrics.inc("fork.forks")
     registry.note_clean_fork()

@@ -6,7 +6,7 @@ flow: a prepare handler that hangs freezes every future ``fork()``, and
 a handler that raises can abort a fork the program needed.  This module
 supplies the policy that keeps the bracket harmless:
 
-* **Per-phase deadlines.**  Untrusted prepare handlers run on a
+* **Per-phase deadlines.**  Untrusted phase callbacks run on a
   sacrificial daemon thread and are abandoned after
   ``DIONEA_FORK_DEADLINE`` seconds — the fork proceeds; debugging of the
   new child may degrade, the debuggee's ability to fork never does.
@@ -97,16 +97,13 @@ def _env_int(name: str, default: int) -> int:
 class ResiliencePolicy:
     """Knobs for the do-no-harm bracket.
 
-    ``prepare_deadline`` bounds each *untrusted* prepare (and undo)
-    callback; ``reinstate_after`` is the clean-fork count that lifts a
-    quarantine; ``contain_prepare`` turns prepare failures from
-    fork-aborting (the legacy registry semantics, kept for registries
-    with no policy) into contained: undo, quarantine, fork anyway.
+    ``prepare_deadline`` bounds each *untrusted* phase callback (and
+    undo); ``reinstate_after`` is the clean-fork count that lifts a
+    quarantine.
     """
 
     prepare_deadline: float = _DEFAULT_DEADLINE
     reinstate_after: int = _DEFAULT_REINSTATE
-    contain_prepare: bool = True
 
     @classmethod
     def from_env(cls) -> "ResiliencePolicy":

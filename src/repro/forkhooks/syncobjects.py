@@ -126,7 +126,8 @@ class SyncObjectRegistry:
 
         On any failure, everything acquired so far is released and the
         error propagates — the registry must leave the process exactly as
-        it found it when the fork is aborted.
+        it found it, since the bracket contains the failure and the fork
+        proceeds without the sweep.
         """
         with self._lock:
             if self._held:
@@ -168,9 +169,13 @@ class SyncObjectRegistry:
         return len(held)
 
     def reinit_after_fork(self) -> int:
-        """Child phase: rebuild every live object in a fresh unlocked state."""
-        with self._lock:
-            held, self._held = self._held, []
+        """Child phase: rebuild every live object in a fresh unlocked state.
+
+        The registry lock is replaced first: a parent thread registering
+        a new object at the fork moment left the child's copy held.
+        """
+        self._lock = threading.RLock()
+        self._held = []
         count = 0
         for managed in self.live_objects():
             try:
@@ -215,8 +220,3 @@ def manage_lock(registry: SyncObjectRegistry, lock: threading.Lock,
                              ManagedSyncObject(
                                  name=name, acquire=_acquire,
                                  release=_release, reinit=_release))
-
-
-#: Process-global registry used by Dionea's own fork handlers.  repro.mp
-#: primitives register here automatically when a debugger is active.
-GLOBAL_SYNC_REGISTRY = SyncObjectRegistry()

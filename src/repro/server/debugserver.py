@@ -579,24 +579,27 @@ class DebugServer:
         self._reactor = self._endpoint = self._command = None
         self._grace_timer = None
 
-        # 2. Rewrite the metadata block with child identity.
+        # 2. Rewrite the metadata block with child identity.  Every
+        #    lock here is replaced, never taken: a parent thread may have
+        #    held it at the fork, and none will release it in the child.
         self.session.rewrite_for_child()
-        with self._stops_lock:
-            self._last_stops.clear()
+        self._stops_lock = threading.Lock()
+        self._last_stops = {}
         self.output_capture.reset_after_fork()
 
         # 3. Fresh endpoint + reactor thread.
         self._open_transport(0)
 
         # 4. Restart the wedge monitor — its thread died with the fork.
-        with self._detach_lock:
-            self._detached = False
+        self._detach_lock = threading.Lock()
+        self._detached = False
         if self.watchdog is not None:
             self.watchdog.reset_after_fork()
             self.watchdog.start()
 
         # 5. Inform the client about the creation of a new debuggee.
         if self.portfile is not None:
+            self.portfile.reset_after_fork()
             self.announce()
         debug_event("server",
                     f"child server re-established on port {self.port}")

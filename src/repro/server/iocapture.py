@@ -153,8 +153,13 @@ class OutputCapture:
             self._chunks.clear()
 
     def reset_after_fork(self) -> None:
-        """Child fork handler: inherited buffer belongs to the parent."""
-        self.clear()
+        """Child fork handler: inherited buffer belongs to the parent.
+
+        Fresh lock, assignments only: a parent thread may have been
+        mid-write at the fork, leaving the inherited lock held.
+        """
+        self._lock = threading.Lock()
+        self._chunks = []
 
 
 class InputFeed:

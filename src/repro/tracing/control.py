@@ -213,10 +213,11 @@ class UEController:
 
         Only the forking thread survives in the child (paper section 5.1);
         its gate — if any — is rebuilt fresh because a parked parent gate
-        has a waiter that is gone.
+        has a waiter that is gone.  Fresh lock, assignments only: a
+        parent thread may have held the inherited one at the fork.
         """
-        with self._lock:
-            self._gates = {surviving: ResumeGate(surviving)}
-            self._pending_suspend = set()
-            self._suspend_all = False
-            self._suspended_once = set()
+        self._lock = threading.RLock()
+        self._gates = {surviving: ResumeGate(surviving)}
+        self._pending_suspend = set()
+        self._suspend_all = False
+        self._suspended_once = set()

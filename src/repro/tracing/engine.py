@@ -756,11 +756,12 @@ class TraceEngine:
         verdicts are dropped too — the child re-owns its breakpoint store
         as data (Fig. 4), and its caches must be recomputed against its
         own copy (the PROTOCOL.md invalidation-broadcast contract).
+        Fresh lock first: a parent thread may have held it at the fork.
         """
         surviving = UEId.current()
-        with self._lock:
-            self._states = {surviving: StepState()}
-            self._active_steppers = set()
+        self._lock = threading.RLock()
+        self._states = {surviving: StepState()}
+        self._active_steppers = set()
         self.controller.reset_after_fork(surviving)
         self.watchpoints.reset_after_fork()
         self.linetable.invalidate()

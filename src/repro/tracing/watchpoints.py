@@ -160,7 +160,11 @@ class WatchpointStore:
         return None
 
     def reset_after_fork(self) -> None:
-        """Child handler: per-UE memories name parent threads."""
-        with self._lock:
-            for watch in self._watches.values():
-                watch.last_values.clear()
+        """Child handler: per-UE memories name parent threads.
+
+        Fresh lock first: every traced line takes it while a watch is
+        set, so a parent thread may well have held it at the fork.
+        """
+        self._lock = threading.RLock()
+        for watch in self._watches.values():
+            watch.last_values.clear()

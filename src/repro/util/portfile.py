@@ -111,9 +111,13 @@ class PortFile:
     different processes, so coordination goes through the filesystem only.
     """
 
+    #: Serialises every append and rewrite among the threads of this
+    #: process, whichever instance they go through: the sidecar lock of
+    #: :meth:`_flocked` excludes other processes only.
+    _write_lock = threading.Lock()
+
     def __init__(self, path: str):
         self.path = path
-        self._write_lock = threading.Lock()
         #: consecutive failed port probes per (pid, port) — an exec'd
         #: debuggee keeps its pid alive while its debug port is gone,
         #: so pid liveness alone can never reap it; two failed probes
@@ -126,17 +130,28 @@ class PortFile:
 
         ``O_APPEND`` alone keeps concurrent *appends* intact, but the
         liveness GC rewrites the whole file — an append landing between
-        its read and its rename would be silently dropped.  A sidecar
-        ``flock`` file serialises the two; appenders hold it only for
-        one ``write(2)``.
+        its read and its rename would be silently dropped.  A lock on a
+        sidecar file serialises the two; appenders hold it only for one
+        ``write(2)``.  It is a POSIX record lock, not a ``flock``: a
+        child forked while a parent thread holds it does not inherit
+        it, where a ``flock`` would stay held through the child's copy
+        of the descriptor and the child's own announce would wait on it
+        forever.  A record lock excludes other processes only (and
+        closing any descriptor of the file drops it), so callers hold
+        :attr:`_write_lock` around it.
         """
         lock_fd = os.open(f"{self.path}.lock",
                           os.O_WRONLY | os.O_CREAT, 0o600)
         try:
-            fcntl.flock(lock_fd, fcntl.LOCK_EX)
+            fcntl.lockf(lock_fd, fcntl.LOCK_EX)
             yield
         finally:
-            os.close(lock_fd)  # closing releases the flock
+            os.close(lock_fd)  # closing releases the lock
+
+    def reset_after_fork(self) -> None:
+        """Child fork handler: a parent thread may have held the write
+        lock at the fork; the child's copy would never be released."""
+        PortFile._write_lock = threading.Lock()
 
     # -- writer side (debug server, child fork handler) --------------------
 

@@ -15,8 +15,7 @@ import time
 import pytest
 
 from repro.client import DebugClient
-from repro.core import Dionea
-from repro.forkhooks.augment import active_patcher
+from repro.core import Dionea, current_dionea
 from repro.server.watchdog import ServerWatchdog
 from repro.testkit import faults
 from repro.util.errors import RequestTimeoutError, SessionLostError
@@ -60,7 +59,8 @@ class TestDegradedMode:
         # the debugger is gone: alias restored, facade slot freed
         assert debugger.server.detached
         assert os.fork is original_fork
-        assert active_patcher() is None
+        assert not debugger.patcher.installed
+        assert current_dionea() is None
         assert not debugger.started
         # ...and the debuggee still forks, bare
         pid = os.fork()

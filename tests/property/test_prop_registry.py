@@ -53,31 +53,25 @@ class TestOrderingInvariants:
     @given(names=labels, data=st.data())
     def test_failing_prepare_unwinds_exactly_the_prepared(self, names,
                                                           data):
-        """Whatever handler fails, every handler that prepared before it
-        — and only those — get their parent (undo) callback."""
-        from repro.util.errors import ForkHookError
-        import pytest
-
+        """Whatever handler fails, only its own parent callback runs as
+        its undo; every other handler stays prepared, run_prepare
+        returns, and the parent phase runs for exactly those."""
         registry = ForkHandlerRegistry()
         failer = data.draw(st.sampled_from(names))
         prepared, undone = [], []
         for name in names:
             if name == failer:
-                registry.register(
-                    name,
-                    prepare=lambda n=name: (_ for _ in ()).throw(
-                        RuntimeError(n)),
-                    parent=lambda n=name: undone.append(n))
+                prepare = (lambda n=name: (_ for _ in ()).throw(
+                    RuntimeError(n)))
             else:
-                registry.register(
-                    name,
-                    prepare=lambda n=name: prepared.append(n),
-                    parent=lambda n=name: undone.append(n))
-        with pytest.raises(ForkHookError):
-            registry.run_prepare()
-        # prepare runs reversed: everything after `failer` (in reverse
-        # order) prepared; exactly those were undone, in reverse.
-        expected_prepared = [n for n in reversed(names)
-                             if names.index(n) > names.index(failer)]
-        assert prepared == expected_prepared
-        assert undone == list(reversed(expected_prepared))
+                prepare = (lambda n=name: prepared.append(n))
+            registry.register(name, prepare=prepare,
+                              parent=lambda n=name: undone.append(n))
+        still_prepared = [n for n in reversed(names) if n != failer]
+        assert [h.label for h in registry.run_prepare()] == still_prepared
+        assert prepared == still_prepared
+        assert undone == [failer]
+        undone.clear()
+        registry.run_parent()
+        assert undone == [n for n in names if n != failer]
+        assert registry.quarantine.benched_labels() == [failer]

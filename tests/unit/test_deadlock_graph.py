@@ -42,7 +42,7 @@ class TestGraphBookkeeping:
         graph = WaitForGraph()
         graph.add_wait(A, "r", "x:1")
         graph.add_hold(B, "r")
-        graph.reset()
+        graph.reset_after_fork()
         assert graph.waits() == [] and graph.holders_of("r") == set()
 
 

@@ -83,45 +83,46 @@ class TestPhaseOrdering:
 
 
 class TestPrepareFailure:
+    """The one prepare-failure contract: whatever handler fails, only
+    its own parent callback runs as its undo, its set sits out the
+    bracket and is benched, every other set stays prepared, and
+    run_prepare returns so the fork proceeds."""
+
     def test_failure_unwinds_already_prepared(self, registry):
         calls = []
-        registry.register("inner",
-                          prepare=lambda: calls.append("prep:inner"),
-                          parent=lambda: calls.append("undo:inner"))
 
         def bad_prepare():
             calls.append("prep:bad")
             raise RuntimeError("no fork for you")
 
-        # registered later => runs FIRST in prepare; 'inner' then fails?
-        # No: we want bad to fail after inner prepared, so bad must run
-        # second => register bad first.
-        registry.clear()
-        calls.clear()
+        # prepare runs in reverse registration order: register 'bad'
+        # first so that it fails after 'inner' already prepared.
         registry.register("bad", prepare=bad_prepare,
                           parent=lambda: calls.append("undo:bad"))
         registry.register("inner",
                           prepare=lambda: calls.append("prep:inner"),
-                          parent=lambda: calls.append("undo:inner"))
-        with pytest.raises(ForkHookError):
-            registry.run_prepare()
-        # inner prepared (reverse order: inner first), bad failed, inner
-        # unwound via its parent callback.
-        assert calls == ["prep:inner", "prep:bad", "undo:inner"]
+                          parent=lambda: calls.append("par:inner"))
+        prepared = registry.run_prepare()
+        assert [h.label for h in prepared] == ["inner"]
+        assert calls == ["prep:inner", "prep:bad", "undo:bad"]
+        calls.clear()
+        registry.run_parent()  # B for the sets still prepared only
+        assert calls == ["par:inner"]
+        assert registry.quarantine.benched_labels() == ["bad"]
 
     def test_unwind_failure_recorded_not_raised(self, registry):
         def bad_undo():
             raise ValueError("undo broke")
 
-        # prepare runs in reverse registration order, so 'failing' must be
-        # registered FIRST to run second — after 'a' already prepared.
         registry.register("failing",
                           prepare=lambda: (_ for _ in ()).throw(
-                              RuntimeError("prep fails")))
-        registry.register("a", prepare=lambda: None, parent=bad_undo)
-        with pytest.raises(ForkHookError):
-            registry.run_prepare()
-        assert any(f.phase == "unwind" for f in registry.failures)
+                              RuntimeError("prep fails")),
+                          parent=bad_undo)
+        registry.register("a", prepare=lambda: None)
+        prepared = registry.run_prepare()  # returns: nothing raised
+        assert [h.label for h in prepared] == ["a"]
+        assert [(f.label, f.phase) for f in registry.failures] \
+            == [("failing", "prepare"), ("failing", "undo")]
 
 
 class TestContainedFailures:
@@ -249,8 +250,10 @@ class TestInjectedFailures:
 
     def test_prepare_fault_leaves_sync_sweep_unapplied(self, registry):
         """A prepare handler raising (here: via an injected fault) after
-        the sync-object sweep acquired everything must see the sweep
-        fully released — not half-applied."""
+        the sync-object sweep acquired everything leaves the sweep
+        whole: it stays prepared through the bracket, the parent phase
+        releases all of it, and only the faulty handler is benched —
+        nothing is half-applied."""
         sync = SyncObjectRegistry(acquire_timeout=1.0)
         lock_a, lock_b = threading.Lock(), threading.Lock()
         manage_lock(sync, lock_a, name="a")
@@ -262,23 +265,24 @@ class TestInjectedFailures:
 
         # Registration order matters: prepare runs in REVERSE order, so
         # the sweep (registered last) prepares first, then the faulty
-        # handler fires and must trigger the sweep's parent-side release.
+        # handler fires.
         registry.register("faulty", prepare=faulty_prepare)
         registry.register("sweep",
                           prepare=lambda: sync.take_ownership(),
                           parent=lambda: sync.release_ownership(),
                           child=lambda: sync.reinit_after_fork())
         with armed("test.prepare", Fault.os_error(errno.EIO)):
-            with pytest.raises(ForkHookError):
-                registry.run_prepare()
-        assert not sync.holding
-        assert not lock_a.locked() and not lock_b.locked()
-        # The registry itself is intact and a clean retry succeeds.
-        assert registry.labels == ["faulty", "sweep"]
-        registry.run_prepare()
+            prepared = registry.run_prepare()
+        assert [h.label for h in prepared] == ["sweep"]
         assert sync.holding and lock_a.locked() and lock_b.locked()
         registry.run_parent()
         assert not sync.holding
+        assert not lock_a.locked() and not lock_b.locked()
+        # The registry itself is intact; the faulty handler is benched.
+        assert registry.labels == ["faulty", "sweep"]
+        assert registry.quarantine.benched_labels() == ["faulty"]
+        assert [(f.label, f.phase) for f in registry.failures] \
+            == [("faulty", "prepare")]
 
     def test_sweep_acquire_fault_unwinds_partial_acquisition(self):
         """If acquiring sync object k fails, objects 1..k-1 are released

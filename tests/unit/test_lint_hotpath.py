@@ -1,5 +1,5 @@
-"""Unit tests: the hot-path lint's clock-pair and reactor rules
-(tools/lint_hotpath)."""
+"""Unit tests: the hot-path lint's clock-pair, reactor and fork-phase
+rules (tools/lint_hotpath)."""
 
 import importlib.util
 import os
@@ -97,6 +97,71 @@ class TestReactorRule:
             assert lint.find_reactor_blocking_calls(path, names) == []
             assert {"_handle_hello", "_handle_ping", "_handle_request",
                     "_handle_disconnect"} <= set(names)
+
+
+class TestForkPhaseRule:
+    def test_timed_acquire_in_phase_c_is_flagged(self, lint, tmp_path):
+        path = tmp_path / "handlers.py"
+        path.write_text(
+            "def install(lock):\n"
+            "    def prepare_fork():\n"
+            "        lock.acquire(timeout=5)  # bounded: allowed in A\n"
+            "    def handle_child_at_fork():\n"
+            "        lock.acquire(timeout=5)\n")
+        hits = lint.find_fork_phase_blocking_calls(
+            str(path), ("prepare_fork", "handle_child_at_fork"))
+        assert hits == [(5, ".acquire(...) in child-side "
+                            "handle_child_at_fork")]
+
+    def test_with_lock_in_phase_c_is_flagged(self, lint, tmp_path):
+        path = tmp_path / "registry.py"
+        path.write_text(
+            "class ForkHandlerRegistry:\n"
+            "    def run_child(self):\n"
+            "        with self._lock:\n"
+            "            return list(self._handlers)\n")
+        hits = lint.find_fork_phase_blocking_calls(str(path),
+                                                   ("run_child",))
+        assert hits == [(3, "with _lock in child-side run_child")]
+
+    def test_child_resets_are_found_by_name(self, lint, tmp_path):
+        path = tmp_path / "portfile.py"
+        path.write_text(
+            "class PortFile:\n"
+            "    def announce(self):\n"
+            "        with self._write_lock:  # parent side: allowed\n"
+            "            pass\n"
+            "    def reset_after_fork(self):\n"
+            "        with self._write_lock, self._flocked():\n"
+            "            pass\n"
+            "    def close_after_fork(self):\n"
+            "        self._lock.acquire(False)\n")
+        hits = lint.find_child_reset_lock_waits(str(path))
+        assert hits == [
+            (6, "with _flocked in child-side reset_after_fork"),
+            (6, "with _write_lock in child-side reset_after_fork"),
+            (9, ".acquire(...) in child-side close_after_fork")]
+
+    def test_tree_scan_reports_a_child_reset_anywhere(self, lint, tmp_path):
+        package = tmp_path / "src" / "repro" / "deep" / "er"
+        package.mkdir(parents=True)
+        (package / "state.py").write_text(
+            "import threading\n"
+            "class State:\n"
+            "    def reinit_after_fork(self):\n"
+            "        with self.state_lock:\n"
+            "            self.items = []\n")
+        assert lint.scan_child_resets(str(tmp_path)) == [
+            os.path.join("src", "repro", "deep", "er", "state.py")
+            + ":4: with state_lock in child-side reinit_after_fork"]
+
+    def test_phase_functions_exist(self, lint):
+        for module, names in lint.FORK_PHASE_MODULES.items():
+            path = os.path.join(REPO_ROOT, module)
+            assert lint.find_fork_phase_blocking_calls(path, names) == []
+        assert set(lint.FORK_CHILD_FUNCTIONS) <= {
+            name for names in lint.FORK_PHASE_MODULES.values()
+            for name in names}
 
 
 class TestWholeRepo:

@@ -28,7 +28,6 @@ class TestPolicyFromEnv:
         policy = ResiliencePolicy.from_env()
         assert policy.prepare_deadline == 5.0
         assert policy.reinstate_after == 3
-        assert policy.contain_prepare is True
 
     def test_env_overrides(self, monkeypatch):
         monkeypatch.setenv(DEADLINE_ENV, "0.25")

@@ -153,15 +153,64 @@ def find_reactor_blocking_calls(path: str, function_names=None) -> list:
 #: and the ringlog; anything that can wait on another party is banned.
 FORK_PHASE_MODULES = {
     os.path.join("src", "repro", "core", "handlers.py"): (
-        "prepare_fork", "handle_parent_at_fork", "handle_child_at_fork",
-        "handle_child_obs"),
+        "prepare_fork", "handle_parent_at_fork", "handle_child_at_fork"),
     os.path.join("src", "repro", "forkhooks", "registry.py"): (
-        "run_prepare", "run_parent", "run_child", "_unwind"),
+        "run_prepare", "run_parent", "run_child"),
 }
 FORK_PHASE_BANNED_ATTRS = {"sendall", "send", "recv", "recv_into",
                            "accept", "connect", "sleep",
                            "info", "warning", "error", "debug"}
 FORK_PHASE_BANNED_NAMES = {"sleep"}
+#: Phase C runs in a child whose only thread is the forker: a lock any
+#: other parent thread held at the fork is copied held, and nothing
+#: will ever release it.  Phase C bodies, and every child-side reset
+#: under src/repro (found by name), therefore take no lock at all: no
+#: ``.acquire(...)`` and no ``with`` on a name containing "lock".  They
+#: replace the lock (or ``_at_fork_reinit()`` it) instead.
+FORK_CHILD_FUNCTIONS = ("handle_child_at_fork", "run_child")
+FORK_RESET_NAMES = ("reset_after_fork", "reinit_after_fork",
+                    "close_after_fork")
+
+
+def _last_name(expr) -> str:
+    """The last name in ``a.b.c`` or ``a.b.c(...)``; '' otherwise."""
+    if isinstance(expr, ast.Call):
+        expr = expr.func
+    if isinstance(expr, ast.Attribute):
+        return expr.attr
+    if isinstance(expr, ast.Name):
+        return expr.id
+    return ""
+
+
+def _fork_phase_hits(function, name: str, child: bool) -> list:
+    """(lineno, what) for the fork-phase rule inside *function*."""
+    hits = []
+    for node in ast.walk(function):
+        if child and isinstance(node, (ast.With, ast.AsyncWith)):
+            for item in node.items:
+                held = _last_name(item.context_expr)
+                if "lock" in held.lower():
+                    hits.append((node.lineno,
+                                 f"with {held} in child-side {name}"))
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            if func.attr in FORK_PHASE_BANNED_ATTRS:
+                hits.append((node.lineno, f".{func.attr}(...) in {name}"))
+            elif func.attr == "acquire" and child:
+                hits.append((node.lineno,
+                             f".acquire(...) in child-side {name}"))
+            elif (func.attr == "acquire" and not node.args
+                    and not any(kw.arg == "timeout"
+                                for kw in node.keywords)):
+                hits.append((node.lineno,
+                             f".acquire() without timeout in {name}"))
+        elif (isinstance(func, ast.Name)
+                and func.id in FORK_PHASE_BANNED_NAMES):
+            hits.append((node.lineno, f"{func.id}(...) in {name}"))
+    return hits
 
 
 def find_fork_phase_blocking_calls(path: str, function_names) -> list:
@@ -171,9 +220,10 @@ def find_fork_phase_blocking_calls(path: str, function_names) -> list:
     Flags ``<anything>.sendall/.send/.recv/.accept/.connect/.sleep``
     and logging-style ``.info/.warning/...`` calls, bare ``sleep``, and
     ``.acquire()`` with neither arguments nor a ``timeout=`` keyword —
-    an unbounded lock wait on the one path that must never wait.
-    Returns a sentinel entry per function missing entirely, so a rename
-    updates this lint instead of silently disabling it.
+    an unbounded lock wait on the one path that must never wait.  In
+    the phase C bodies (:data:`FORK_CHILD_FUNCTIONS`) any lock wait is
+    flagged.  Returns a sentinel entry per function missing entirely,
+    so a rename updates this lint instead of silently disabling it.
     """
     with open(path, "r", encoding="utf-8") as fh:
         source = fh.read()
@@ -189,23 +239,40 @@ def find_fork_phase_blocking_calls(path: str, function_names) -> list:
             hits.append((0, f"function {name!r} not found — update "
                             f"tools/lint_hotpath.py for the rename"))
     for name, function in sorted(functions.items()):
-        for node in ast.walk(function):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Attribute):
-                if func.attr in FORK_PHASE_BANNED_ATTRS:
-                    hits.append((node.lineno,
-                                 f".{func.attr}(...) in {name}"))
-                elif (func.attr == "acquire" and not node.args
-                        and not any(kw.arg == "timeout"
-                                    for kw in node.keywords)):
-                    hits.append((node.lineno,
-                                 f".acquire() without timeout in {name}"))
-            elif (isinstance(func, ast.Name)
-                    and func.id in FORK_PHASE_BANNED_NAMES):
-                hits.append((node.lineno, f"{func.id}(...) in {name}"))
+        hits += _fork_phase_hits(function, name,
+                                 child=name in FORK_CHILD_FUNCTIONS)
     return hits
+
+
+def find_child_reset_lock_waits(path: str) -> list:
+    """(lineno, what) for the phase C rule inside every function of the
+    file at *path* named in :data:`FORK_RESET_NAMES`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        source = fh.read()
+    tree = ast.parse(source, filename=path)
+    hits = []
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name in FORK_RESET_NAMES):
+            hits += _fork_phase_hits(node, node.name, child=True)
+    return sorted(hits)
+
+
+def scan_child_resets(root: str) -> list:
+    """``path:line: what`` for every child-side reset under
+    ``src/repro`` that can wait on a lock or block."""
+    problems = []
+    package_dir = os.path.join(root, "src", "repro")
+    for dirpath, dirnames, filenames in os.walk(package_dir):
+        dirnames.sort()
+        for filename in sorted(filenames):
+            if not filename.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, filename)
+            rel = os.path.relpath(path, root)
+            for lineno, what in find_child_reset_lock_waits(path):
+                problems.append(f"{rel}:{lineno}: {what}")
+    return problems
 
 
 #: Timestamp discipline for the causal-timeline modules: cross-process
@@ -308,6 +375,10 @@ def main(argv: list) -> int:
                 f"{rel}:{lineno}: blocking call {what} in a fork-phase "
                 f"body (prepare/child run with the debuggee frozen; "
                 f"memory and the ringlog only)")
+    for problem in scan_child_resets(root):
+        problems.append(
+            f"{problem} (the child has one thread: replace an inherited "
+            f"lock before touching its state, never wait on it)")
     for module in CLOCK_PAIR_MODULES:
         clock_path = os.path.join(root, module)
         if not os.path.isfile(clock_path):
@@ -325,8 +396,9 @@ def main(argv: list) -> int:
     print(f"lint-hotpath: OK ({', '.join(HOT_PACKAGES)} are "
           f"logging-free; {FASTPATH_FUNCTION} is obs-free; the reactor "
           f"and its server handlers have no blocking calls; fork-phase "
-          f"bodies have no "
-          f"blocking calls; timeline modules pair wall with monotonic)")
+          f"bodies have no blocking calls; phase C and the child-side "
+          f"resets take no lock; timeline modules pair wall with "
+          f"monotonic)")
     return 0
 
 
