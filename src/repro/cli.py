@@ -185,9 +185,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
             if args.connect:
                 host, _, port = args.connect.rpartition(":")
                 client.attach(host or "127.0.0.1", int(port))
-            document = client.cluster_timeline(
-                blackbox_dir=blackbox_dir,
-                ringlog_limit=args.ringlog_limit)
+            document = client.cluster_timeline(blackbox_dir=blackbox_dir)
         finally:
             client.close()
     else:
@@ -331,8 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="also attach to one live debug server")
     timeline.add_argument("--out", default=None, metavar="PATH",
                           help="write the trace JSON here instead of stdout")
-    timeline.add_argument("--ringlog-limit", type=int, default=500,
-                          help="ring-log tail length per live process")
     timeline.add_argument("--attach-timeout", type=float, default=5.0,
                           help="seconds to wait for the first auto-attach "
                                "when watching a port file")

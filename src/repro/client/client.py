@@ -22,13 +22,13 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs import metrics as obs_metrics
+from ..obs.spans import debug_event
 from ..server import protocol
 from ..tracing.frames import StackCapture
 from ..util.errors import ReproError, SessionError, ViewError
 from ..util.ids import IdAllocator, UEId
 from ..util.portfile import PortFile, PortFileWatcher, PortRecord, pid_alive
 from ..util.reactor import Reactor
-from ..util.ringlog import debug_event
 from .session import DebugSession, PendingCall
 from .view import DebugView
 
@@ -472,8 +472,8 @@ class DebugClient:
         under ONE deadline, so total sweep time scales with the slowest
         responder, not with the session count.  Returns
         ``(results_by_pid, errors_by_pid)`` — a pid that errors or times
-        out becomes a *hole*, recorded in the errors dict AND in the obs
-        ringlog (``debug_event``), never an aborted sweep.
+        out becomes a *hole*, recorded in the errors dict AND on the obs
+        event ring (``debug_event``), never an aborted sweep.
         """
         targets = self.sessions() if sessions is None else sessions
         calls: Dict[int, PendingCall] = {}
@@ -506,37 +506,33 @@ class DebugClient:
 
     def cluster_telemetry(self, reset: bool = False,
                           include_client: bool = True,
-                          ringlog_limit: int = 500,
                           timeout: Optional[float] = None) -> dict:
         """Pull the ``telemetry`` snapshot from every live session.
 
         Scatter-gather: one batch of pipelined requests, gathered under
         a single deadline — a 200-worker sweep costs ~one round trip,
         not 200.  A session that dies mid-poll is recorded under
-        ``"errors"`` (and in the ringlog) rather than aborting the sweep
+        ``"errors"`` (and on the event ring) rather than aborting the sweep
         — a cluster snapshot with a hole beats no snapshot during a
         crash.  The client process's own registry rides along
         (``"client"``), and ``"fleet"`` aggregates per-session heartbeat
         health so one slow worker is visible without reading N blobs.
         """
         processes, errors = self.cluster_request(
-            "telemetry", {"reset": reset, "ringlog_limit": ringlog_limit},
-            timeout=timeout)
+            "telemetry", {"reset": reset}, timeout=timeout)
         out: dict = {"processes": processes}
         if errors:
             out["errors"] = errors
         out["fleet"] = self.fleet_health()
         if include_client:
             from .. import obs
-            client_snap = obs.telemetry_snapshot(
-                reset=reset, ringlog_limit=ringlog_limit)
+            client_snap = obs.telemetry_snapshot(reset=reset)
             client_snap["program"] = "dionea-client"
             out["client"] = client_snap
         return out
 
     def cluster_timeline(self, blackbox_dir: Optional[str] = None,
                          reset: bool = False,
-                         ringlog_limit: int = 500,
                          timeout: Optional[float] = None,
                          flush: bool = True) -> dict:
         """One causally ordered Chrome trace for the WHOLE fork tree —
@@ -563,9 +559,7 @@ class DebugClient:
             # whatever its last incremental flush left on disk.
             self.cluster_request("blackbox", {"flush": True},
                                  timeout=timeout)
-        telemetry = self.cluster_telemetry(reset=reset,
-                                           ringlog_limit=ringlog_limit,
-                                           timeout=timeout)
+        telemetry = self.cluster_telemetry(reset=reset, timeout=timeout)
         live = list(telemetry.get("processes", {}).values())
         document = obs_timeline.assemble_from_dir(
             blackbox_dir, live_snapshots=live,

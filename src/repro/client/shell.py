@@ -380,9 +380,10 @@ class Shell:
             lines.append(f"{indent}{name}: n={n} mean={mean * 1e3:.3f}ms "
                          f"min={hist.get('min', 0.0) * 1e3:.3f}ms "
                          f"max={hist.get('max', 0.0) * 1e3:.3f}ms")
-        spans = snap.get("spans", [])
-        if spans:
-            lines.append(f"{indent}{len(spans)} recorded spans")
+        records = snap.get("spans", [])
+        if records:
+            lines.append(f"{indent}{len(records)} ring records "
+                         f"(spans and log lines)")
         return lines
 
     def do_telemetry(self, rest: str) -> str:

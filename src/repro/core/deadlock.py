@@ -25,8 +25,8 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from ..obs.spans import debug_event
 from ..util.ids import UEId
-from ..util.ringlog import debug_event
 
 
 @dataclass(frozen=True)

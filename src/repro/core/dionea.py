@@ -38,11 +38,11 @@ from ..forkhooks.syncobjects import SyncObjectRegistry
 from ..obs import causality
 from ..obs import metrics as obs_metrics
 from ..obs.blackbox import BLACKBOX, REASON_EXEC, REASON_STOP
+from ..obs.spans import debug_event
 from ..server.debugserver import DebugServer
 from ..util.errors import ForkHookError, ReproError
 from ..util.ids import UEId
 from ..util.portfile import PortFile, default_portfile_path
-from ..util.ringlog import debug_event
 from .deadlock import DeadlockDetector
 from .disturb import DisturbMode
 from .handlers import install_dionea_handlers, uninstall_dionea_handlers
@@ -169,8 +169,9 @@ class Dionea:
             self.patcher.install()
             self._started = True
         except BaseException:
-            with _current_lock:
-                _current = None
+            # Undo whatever did start: threads, port-file record,
+            # handler set, alias and the facade slot.
+            self._release(remove_portfile=True)
             raise
         debug_event("dionea", f"started (run {self.run_id}, "
                               f"port {self.port})")
@@ -182,6 +183,11 @@ class Dionea:
         # Orderly shutdown is a terminal event too: without this marker
         # the timeline would report a clean exit as an unclean death.
         BLACKBOX.force_flush(REASON_STOP, terminal=True)
+        self._release(remove_portfile)
+        debug_event("dionea", "stopped")
+
+    def _release(self, remove_portfile: bool) -> None:
+        """Everything stop() undoes; also a failed start()'s undo."""
         self._teardown()
         self.server.close()
         if remove_portfile:
@@ -189,7 +195,6 @@ class Dionea:
                 self.portfile.remove()
             except OSError:
                 pass
-        debug_event("dionea", "stopped")
 
     def __enter__(self) -> "Dionea":
         if not self._started:

@@ -19,8 +19,8 @@ import sys
 import threading
 from typing import List, Optional, Set
 
+from ..obs.spans import debug_event
 from ..util.ids import UEId
-from ..util.ringlog import debug_event
 
 
 class DisturbMode:

@@ -35,9 +35,9 @@ from typing import Optional, TYPE_CHECKING
 from .. import obs
 from ..forkhooks.registry import ForkHandlerRegistry, HandlerSet
 from ..forkhooks.syncobjects import SyncObjectRegistry
+from ..obs.spans import debug_event
 from ..server.debugserver import DebugServer
 from ..tracing.engine import TraceEngine
-from ..util.ringlog import GLOBAL_LOG, debug_event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .deadlock import DeadlockDetector
@@ -76,14 +76,14 @@ def install_dionea_handlers(
 
     def handle_child_at_fork() -> None:
         # C — telemetry first: the child inherits the parent's metric
-        # shards and span ring, which describe threads that do not
+        # shards and event ring, which describe threads that do not
         # exist here and a pid that is not ours (the telemetry flavour
         # of Fig. 4's stale metadata).  Resetting them before anything
         # else records lands every later phase-C timing in the child's
         # fresh registry.  Called through the module attribute.  If it
         # fails, the child still re-establishes itself before the
-        # registry degrades it: a degrade before server.reinit_after_fork
-        # would detach the parent's inherited sockets and pid.
+        # registry degrades it, so the degrade detaches the child's own
+        # server rather than only dropping the inherited one.
         try:
             obs.reset_after_fork(labels={"program": server.session.program})
         finally:
@@ -95,7 +95,6 @@ def install_dionea_handlers(
         sync_registry.reinit_after_fork()
         # "close the inherited sockets, initialize the data structures,
         #  create a listener thread, ... inform the client":
-        GLOBAL_LOG.reset_after_fork()
         if deadlock is not None:
             deadlock.reset_after_fork()
         if disturb is not None:

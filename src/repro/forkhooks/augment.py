@@ -23,8 +23,8 @@ import threading
 from typing import Callable, Optional
 
 from ..obs import metrics as obs_metrics
+from ..obs.spans import debug_event
 from ..util.errors import ForkHookError
-from ..util.ringlog import debug_event
 from . import resilience
 from .registry import ForkHandlerRegistry, run_around_fork
 

@@ -43,10 +43,9 @@ from typing import Callable, List, Optional, Tuple
 from ..obs import causality
 from ..obs import metrics as obs_metrics
 from ..obs.blackbox import BLACKBOX
-from ..obs.spans import SPANS
+from ..obs.spans import SPANS, debug_event
 from ..testkit import faults
 from ..util.errors import ForkHookError
-from ..util.ringlog import debug_event
 from .resilience import Quarantine, ResiliencePolicy, run_with_deadline
 
 Handler = Callable[[], None]

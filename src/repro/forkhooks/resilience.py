@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from ..obs import metrics as obs_metrics
+from ..obs.spans import debug_event
 from ..util.errors import ForkHookError
-from ..util.ringlog import debug_event
 
 Handler = Callable[[], None]
 

@@ -32,8 +32,8 @@ import threading
 import weakref
 from typing import Callable, Dict, List, Optional
 
+from ..obs.spans import debug_event
 from ..util.errors import SyncObjectError
-from ..util.ringlog import debug_event
 
 
 class ManagedSyncObject:

@@ -5,9 +5,9 @@ that promise measurable instead of asserted.  Five layers:
 
 * :mod:`repro.obs.metrics` — lock-light counters / gauges / fixed-bucket
   histograms with per-thread shards, merged only on snapshot;
-* :mod:`repro.obs.spans` — a begin/end span flight-recorder on a
-  RingLog-style ring, stamped with wall+monotonic clock pairs and
-  causal span ids;
+* :mod:`repro.obs.spans` — the one in-memory event ring: begin/end
+  spans and debug-log instants (:func:`debug_event`), stamped with
+  wall+monotonic clock pairs, spans with causal span ids;
 * :mod:`repro.obs.causality` — trace contexts propagated across
   threads, ``fork()`` and the wire, so a shell command stays causally
   linked to the fork-tree activity it triggers;
@@ -18,8 +18,8 @@ that promise measurable instead of asserted.  Five layers:
   telemetry snapshots and black-box dumps into one Chrome trace-event
   JSON (``about:tracing`` / Perfetto), fork flow edges included.
 
-Everything is process-global (one registry + one span ring per process,
-like the global ring log) and fork-aware: the obs fork handler
+Everything is process-global (one registry + one event ring per
+process) and fork-aware: the obs fork handler
 registered by :mod:`repro.core.handlers` snapshots-and-resets the
 child's registry, re-labels it with the child's pid and session epoch,
 roots the child's trace under the parent's in-flight fork span, and
@@ -34,6 +34,7 @@ dead.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from typing import Any, Dict, Optional
 
@@ -51,40 +52,57 @@ from .metrics import (
     set_enabled,
     set_gauge,
 )
-from .spans import SPANS, SpanRecorder, span
+from .spans import SPANS, SpanRecorder, debug_event, span
 
 __all__ = [
     "BLACKBOX", "REGISTRY", "MetricsRegistry", "SPANS", "SpanRecorder",
-    "causality", "chrome_trace", "configure_blackbox", "enabled", "inc",
-    "labeled", "observe", "register_gauge", "reset_after_exec",
-    "reset_after_fork", "set_enabled", "set_gauge", "span",
-    "telemetry_snapshot", "validate_trace", "write_chrome_trace",
+    "causality", "chrome_trace", "configure_blackbox", "debug_event",
+    "enabled", "inc", "labeled", "observe", "register_gauge",
+    "reset_after_exec", "reset_after_fork", "set_enabled", "set_gauge",
+    "span", "telemetry_snapshot", "validate_trace", "write_chrome_trace",
 ]
 
+#: the `telemetry` reader's cursor on the event ring (a reset moves
+#: it), and the lock that makes reading and moving it one step
+_telemetry_lock = threading.Lock()
+_telemetry_cursor = 0
 
-def telemetry_snapshot(reset: bool = False,
-                       ringlog_limit: int = 500) -> Dict[str, Any]:
+
+def telemetry_snapshot(reset: bool = False) -> Dict[str, Any]:
     """One process's full telemetry view, JSON-ready.
 
     The ``clock`` anchor (wall + monotonic, captured together) is what
     lets the exporter place this process's monotonic stamps on a shared
     wall-clock timeline.  ``trace`` is the process's root trace context
     (its causal link to the fork tree); ``blackbox`` names the durable
-    dump, if one is being written.  With ``reset``,
-    counters/histograms/spans are drained after being read (the ring
-    log is left alone — it is the debugger's black box, owned by the
-    `debug_log` command).
+    dump, if one is being written.  ``spans`` holds the ring's spans and
+    instants from telemetry's cursor on.  With ``reset``, counters and
+    histograms are drained and the cursor moves past what was read, so
+    the next snapshot covers only the interval since this one.  The
+    ring itself is never cleared: a telemetry poll must not eat the
+    crash evidence the black box and `debug_log` read.
     """
-    from ..util.ringlog import GLOBAL_LOG
-    records = GLOBAL_LOG.snapshot()[-ringlog_limit:]
+    global _telemetry_cursor
+    with _telemetry_lock:
+        cursor, _dropped, records = SPANS.drain_since(_telemetry_cursor)
+        if reset:
+            _telemetry_cursor = cursor
     return {
         "clock": {"wall": time.time(), "mono": time.monotonic()},
         "trace": causality.process_root().to_wire(),
         "blackbox": {"enabled": BLACKBOX.enabled, "path": BLACKBOX.path},
         "metrics": REGISTRY.snapshot(reset=reset),
-        "spans": SPANS.snapshot(reset=reset),
-        "ringlog": [r.to_dict() for r in records],
+        "spans": records,
     }
+
+
+def _reset_ring() -> None:
+    """Clear the event ring and rewind telemetry's cursor with it.
+    Assignments only: the inherited lock may be held."""
+    global _telemetry_lock, _telemetry_cursor
+    SPANS.reset_after_fork()
+    _telemetry_lock = threading.Lock()
+    _telemetry_cursor = 0
 
 
 def configure_blackbox(program: str,
@@ -111,7 +129,7 @@ def reset_after_fork(labels: Optional[Dict[str, Any]] = None) -> None:
     single-threaded — and never raises (OSError marks the box broken).
     """
     parent_ctx = causality.reset_after_fork()
-    SPANS.reset_after_fork()
+    _reset_ring()
     REGISTRY.reset_after_fork(labels=labels)
     BLACKBOX.reset_after_fork(
         parent_pid=parent_ctx.pid if parent_ctx else os.getppid())
@@ -138,7 +156,7 @@ def reset_after_exec(program: str,
     instead of the one that called ``exec``.
     """
     parent_ctx = causality.reset_after_exec(handoff)
-    SPANS.reset_after_fork()
+    _reset_ring()
     merged = {"program": program, "exec": 1}
     if parent_ctx is not None:
         merged["exec_of"] = parent_ctx.span_id

@@ -4,11 +4,11 @@ Everything else in ``repro.obs`` is in-memory: when PR 9's degraded
 mode detaches, a watchdog heals, or the debuggee is SIGKILLed mid-fork,
 the evidence of *why* evaporates with the process.  The black box is
 the durable half: a bounded, schema-versioned, append-only JSONL file
-per process under ``DIONEA_BLACKBOX_DIR``, holding span batches drained
-incrementally off the span ring, metrics snapshots, ring-log tails, and
-*markers* — reason-coded records written on terminal events (degrade/
-detach, quarantine, watchdog heal, unhandled exception, atexit, exec
-handoff).  ``dionea timeline`` reassembles a whole — possibly dead —
+per process under ``DIONEA_BLACKBOX_DIR``, holding batches of spans and
+debug-log instants drained incrementally off the event ring (through
+the box's own cursor), metrics snapshots, and *markers* — reason-coded
+records written on terminal events (degrade/detach, quarantine,
+watchdog heal, unhandled exception, atexit, exec handoff).  ``dionea timeline`` reassembles a whole — possibly dead —
 fork tree from these files alone.
 
 Design constraints, in order:
@@ -30,10 +30,10 @@ Record schema (one JSON object per line, ``"v"``: schema version 1):
 
 * ``open``    — process identity: pid, ppid, program, labels, the root
   trace context, and the wall+mono clock anchor;
-* ``spans``   — a batch of span dicts (each with ring ``seq``) plus the
-  count of records that rolled off the ring undrained;
+* ``spans``   — a batch of ring records, spans and instants (each with
+  ring ``seq``), plus the count of records that rolled off the ring
+  undrained;
 * ``metrics`` — a metrics-registry snapshot;
-* ``ringlog`` — a tail of debug-log records;
 * ``marker``  — ``{"reason": code, "terminal": bool}``; a terminal
   marker means observation of this process ended on purpose — a dump
   *without* one is evidence of an unclean death.
@@ -61,7 +61,7 @@ BLACKBOX_DIR_ENV = "DIONEA_BLACKBOX_DIR"
 #: soft byte budget per dump file (incremental payloads stop here)
 BLACKBOX_LIMIT_ENV = "DIONEA_BLACKBOX_LIMIT"
 DEFAULT_LIMIT_BYTES = 1 << 19
-#: span-ring records between incremental flushes
+#: ring records between incremental flushes (a span fires the flush)
 FLUSH_INTERVAL = 256
 
 #: reason codes written by the wired-in callers (callers may also pass
@@ -101,7 +101,10 @@ class BlackBox:
         """Enable (or, with ``directory=None``, disable) the box.
 
         The dump file is created lazily on the first flush, so calling
-        this inside process startup costs only assignments.
+        this inside process startup costs only assignments.  The ring
+        cursor survives: what an earlier configuration drained is in
+        its own dump, and draining it again would spend this dump's
+        byte budget on a copy.
         """
         with self._lock:
             self._close_locked()
@@ -111,7 +114,6 @@ class BlackBox:
             self._limit = int(limit_bytes if limit_bytes is not None
                               else os.environ.get(BLACKBOX_LIMIT_ENV,
                                                   DEFAULT_LIMIT_BYTES))
-            self._cursor = 0
             self._records_written = 0
             self._payloads_dropped = 0
             self._broken = False
@@ -195,14 +197,24 @@ class BlackBox:
         return True
 
     def _ring_hook(self) -> None:
-        """Span-ring flush hook: drain unseen spans; never raise."""
+        """Ring flush hook: drain unseen records; never raise."""
         try:
             self.flush()
         except Exception:  # noqa: BLE001 - the ring must never feel us
             self._broken = True
 
+    def _drain_locked(self) -> None:
+        """Append the ring records since this box's cursor; lock held."""
+        cursor, ring_dropped, records = \
+            self._recorder.drain_since(self._cursor)
+        self._cursor = cursor
+        if records or ring_dropped:
+            self._write_locked({"kind": "spans", "spans": records,
+                                "ring_dropped": ring_dropped},
+                               force=False)
+
     def flush(self) -> None:
-        """Incremental flush: append span-ring records drained since the
+        """Incremental flush: append ring records drained since the
         last flush.  Cheap no-op while disabled or over budget."""
         if not self.enabled:
             return
@@ -211,20 +223,12 @@ class BlackBox:
         if not self._lock.acquire(blocking=False):
             return
         try:
-            if not self._open_locked():
-                return
-            cursor, ring_dropped, records = \
-                self._recorder.drain_since(self._cursor)
-            self._cursor = cursor
-            if records or ring_dropped:
-                self._write_locked({"kind": "spans", "spans": records,
-                                    "ring_dropped": ring_dropped},
-                                   force=False)
+            if self._open_locked():
+                self._drain_locked()
         finally:
             self._lock.release()
 
-    def force_flush(self, reason: str, terminal: bool = False,
-                    ringlog_limit: int = 200) -> None:
+    def force_flush(self, reason: str, terminal: bool = False) -> None:
         """Full dump with a reason-coded marker.
 
         Terminal reasons (detach/degrade, atexit, unhandled exception)
@@ -239,13 +243,7 @@ class BlackBox:
         with self._lock:
             if not self._open_locked():
                 return
-            cursor, ring_dropped, records = \
-                self._recorder.drain_since(self._cursor)
-            self._cursor = cursor
-            if records or ring_dropped:
-                self._write_locked({"kind": "spans", "spans": records,
-                                    "ring_dropped": ring_dropped},
-                                   force=False)
+            self._drain_locked()
             try:
                 snap = REGISTRY.snapshot()
             except Exception:  # noqa: BLE001 - best-effort on the way out
@@ -253,20 +251,8 @@ class BlackBox:
             if snap is not None:
                 self._write_locked({"kind": "metrics", "snapshot": snap},
                                    force=False)
-            tail = self._ringlog_tail(ringlog_limit)
-            if tail:
-                self._write_locked({"kind": "ringlog", "records": tail},
-                                   force=False)
             self._write_locked({"kind": "marker", "reason": reason,
                                 "terminal": bool(terminal)}, force=True)
-
-    @staticmethod
-    def _ringlog_tail(limit: int) -> List[Dict[str, Any]]:
-        try:
-            from ..util.ringlog import GLOBAL_LOG
-            return [r.to_dict() for r in GLOBAL_LOG.snapshot()[-limit:]]
-        except Exception:  # noqa: BLE001 - best-effort on the way out
-            return []
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -1,10 +1,11 @@
 """Chrome trace-event export: one timeline for the whole fork tree.
 
 Takes the per-process telemetry snapshots the `telemetry` command
-returns (metrics + spans + ring-log records, each stamped with a
-wall/monotonic clock pair) and merges them into a single JSON document
-in the Chrome trace-event format, loadable in ``about:tracing`` or
-Perfetto.
+returns (metrics plus the event ring's spans and debug-log instants,
+each stamped with a wall/monotonic clock pair) and merges them into a
+single JSON document in the Chrome trace-event format, loadable in
+``about:tracing`` or Perfetto.  Spans become complete (``X``) events,
+instants become instant (``i``) events.
 
 Cross-process time alignment uses each snapshot's **clock anchor**
 (``{"wall": time.time(), "mono": time.monotonic()}`` taken at snapshot
@@ -12,7 +13,7 @@ time): an event recorded at monotonic ``m`` maps to wall time
 ``anchor_wall - (anchor_mono - m)``.  Wall clocks are only trusted for
 the anchor instant — every offset within a process comes from its
 monotonic clock, so an NTP step mid-run skews one anchor, not every
-record (the multi-process-merge fix of this PR's RingLog satellite).
+record.
 
 Causality: spans carry ids (``id`` / ``parent`` / ``trace``, minted by
 :mod:`repro.obs.causality`), surfaced in each event's args.  A span
@@ -36,6 +37,8 @@ from __future__ import annotations
 
 import json
 from typing import Any, Dict, Iterable, List, Optional
+
+from .spans import is_instant
 
 #: event phases the exporter emits / the validator accepts
 _PHASES = ("X", "B", "E", "i", "I", "C", "M", "s", "t", "f")
@@ -85,9 +88,9 @@ def chrome_trace(snapshots: Iterable[Dict[str, Any]],
 
     Each snapshot is the result of the ``telemetry`` protocol command:
     pid / program / fork_generation identity, a clock anchor, a metrics
-    snapshot, a span list and a ring-log excerpt.  *client_snapshot*
-    optionally adds the client process's own telemetry under a
-    synthetic "client" process.
+    snapshot and the ring's records (spans and instants).
+    *client_snapshot* optionally adds the client process's own
+    telemetry under a synthetic "client" process.
     """
     events: List[Dict[str, Any]] = []
     all_snapshots = list(snapshots)
@@ -109,10 +112,16 @@ def chrome_trace(snapshots: Iterable[Dict[str, Any]],
                        "tid": 0, "args": {"name": name}})
 
         # Spans → complete ("X") events (+ flow edges for cross-process
-        # causal links).
+        # causal links); debug-log instants → instant ("i") events.
         for span in snap.get("spans") or []:
             span_pid = span.get("pid", pid)
             span_ts = _anchor_us(snap, span["mono"])
+            if is_instant(span):
+                events.append({"name": span["name"],
+                               "cat": span.get("cat", "log"), "ph": "i",
+                               "s": "t", "ts": span_ts, "pid": span_pid,
+                               "tid": span.get("tid", 0)})
+                continue
             event = {
                 "name": span["name"],
                 "cat": span.get("cat", "debug"),
@@ -131,18 +140,6 @@ def chrome_trace(snapshots: Iterable[Dict[str, Any]],
                 event["args"] = args
             events.append(event)
             events.extend(_flow_events(span, span_ts, span_pid))
-
-        # Ring-log records → instant ("i") events.
-        for record in snap.get("ringlog") or []:
-            events.append({
-                "name": record.get("message", ""),
-                "cat": record.get("category", "log"),
-                "ph": "i",
-                "s": "t",
-                "ts": _anchor_us(snap, record["mono"]),
-                "pid": record.get("pid", pid),
-                "tid": record.get("tid", 0),
-            })
 
         # Counters → one "C" sample at the snapshot instant.
         metrics = snap.get("metrics") or {}

@@ -4,13 +4,16 @@ The paper's §3 low-intrusion rule applies to the debugger's *own*
 telemetry as hard as it applies to the debuggee's: a metrics layer that
 locks, allocates or does I/O on the hot path would perturb exactly the
 schedules it is supposed to observe.  The registry therefore follows the
-same discipline as :mod:`repro.util.ringlog`:
+same discipline as the event ring (:mod:`repro.obs.spans`):
 
 * **per-thread shards** — every writing thread owns a private shard
   (plain dicts it alone mutates), so increments and histogram observes
   touch no lock and contend with nobody;
 * **merge on snapshot** — the registry lock is taken only when a shard
   is born and when a snapshot merges all shards, both off the hot path;
+  a shard's birth also folds the shards of exited threads into one
+  retired shard, so a process that starts and stops threads keeps one
+  shard per live thread plus one;
 * **no I/O, bounded allocation** — counters are dict slots, histograms
   are fixed bucket arrays sized at first observe; nothing is formatted
   or written until a `telemetry` command asks.
@@ -83,15 +86,37 @@ class _Histogram:
         if value > self.vmax:
             self.vmax = value
 
+    def fold(self, other: "_Histogram") -> None:
+        for i, c in enumerate(other.counts):
+            self.counts[i] += c
+        self.total += other.total
+        self.n += other.n
+        self.vmin = min(self.vmin, other.vmin)
+        self.vmax = max(self.vmax, other.vmax)
+
 
 class _Shard:
-    """Per-thread storage: only the owning thread ever writes here."""
+    """Per-thread storage: only the owning thread ever writes here.
 
-    __slots__ = ("counters", "hists")
+    *owner* is that thread; the retired shard, which holds the totals
+    of exited threads, has none."""
 
-    def __init__(self) -> None:
+    __slots__ = ("counters", "hists", "owner")
+
+    def __init__(self, owner: Optional[threading.Thread] = None) -> None:
         self.counters: Dict[str, float] = {}
         self.hists: Dict[str, _Histogram] = {}
+        self.owner = owner
+
+    def fold(self, other: "_Shard") -> None:
+        """Add *other*'s values into this shard."""
+        for key, value in other.counters.items():
+            self.counters[key] = self.counters.get(key, 0) + value
+        for key, hist in other.hists.items():
+            mine = self.hists.get(key)
+            if mine is None:
+                mine = self.hists[key] = _Histogram(hist.bounds)
+            mine.fold(hist)
 
 
 class MetricsRegistry:
@@ -113,11 +138,31 @@ class MetricsRegistry:
     def _shard(self) -> _Shard:
         shard = getattr(self._local, "shard", None)
         if shard is None:
-            shard = _Shard()
+            shard = _Shard(threading.current_thread())
             with self._lock:
+                self._shards = self._retire_exited(self._shards)
                 self._shards.append(shard)
             self._local.shard = shard
         return shard
+
+    @staticmethod
+    def _retire_exited(shards: List[_Shard]) -> List[_Shard]:
+        """Fold the shards of exited threads into one retired shard.
+
+        Copy-on-write: a snapshot merging outside the lock may still be
+        reading the old shards, so a new retired shard replaces them.
+        """
+        live: List[_Shard] = []
+        gone: List[_Shard] = []
+        for shard in shards:
+            alive = shard.owner is not None and shard.owner.is_alive()
+            (live if alive else gone).append(shard)
+        if len(gone) < 2:
+            return shards  # one non-live shard is already the retired one
+        retired = _Shard()
+        for shard in gone:
+            retired.fold(shard)
+        return [retired] + live
 
     def inc(self, name: str, n: float = 1, **labels: Any) -> None:
         """Add *n* to counter *name*.  Lock-free for the calling thread."""
@@ -181,38 +226,22 @@ class MetricsRegistry:
             gauges = dict(self._gauges)
             gauge_fns = dict(self._gauge_fns)
             labels = dict(self.labels)
-        counters: Dict[str, float] = {}
-        hists: Dict[str, Dict[str, Any]] = {}
+        merged = _Shard()
         for shard in shards:
-            for key, value in shard.counters.items():
-                counters[key] = counters.get(key, 0) + value
-            for key, hist in shard.hists.items():
-                merged = hists.get(key)
-                if merged is None:
-                    hists[key] = {
-                        "bounds": list(hist.bounds),
-                        "counts": list(hist.counts),
-                        "sum": hist.total,
-                        "count": hist.n,
-                        "min": hist.vmin,
-                        "max": hist.vmax,
-                    }
-                else:
-                    for i, c in enumerate(hist.counts):
-                        merged["counts"][i] += c
-                    merged["sum"] += hist.total
-                    merged["count"] += hist.n
-                    merged["min"] = min(merged["min"], hist.vmin)
-                    merged["max"] = max(merged["max"], hist.vmax)
-        for key, hist in hists.items():
-            if hist["count"] == 0:
-                hist["min"] = hist["max"] = 0.0
+            merged.fold(shard)
+        hists = {key: {"bounds": list(hist.bounds),
+                       "counts": hist.counts,
+                       "sum": hist.total,
+                       "count": hist.n,
+                       "min": hist.vmin if hist.n else 0.0,
+                       "max": hist.vmax if hist.n else 0.0}
+                 for key, hist in merged.hists.items()}
         for name, fn in gauge_fns.items():
             try:
                 gauges[name] = float(fn())
             except Exception:  # noqa: BLE001 - a dead gauge must not
                 pass           # poison the whole snapshot
-        return {"labels": labels, "counters": counters,
+        return {"labels": labels, "counters": merged.counters,
                 "gauges": gauges, "histograms": hists}
 
     def reset(self) -> None:

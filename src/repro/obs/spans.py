@@ -1,30 +1,36 @@
-"""Span flight-recorder: begin/end intervals on a RingLog-style ring.
+"""The one in-memory event ring: spans and instants, one tuple each.
 
-Where :mod:`repro.util.ringlog` answers "what happened", the span
-recorder answers "how long did it take and when, relative to everything
-else" — fork-handler phases, command round trips, parked-UE dwell times
-— in a shape the Chrome trace-event exporter (:mod:`repro.obs.export`)
-can lay out on a cross-process timeline.
+Paper section 3 warns that printf-debugging concurrent programs *"may
+introduce more errors and hide the real problems"* because logging
+streams take locks and perturb timing.  The debugger must not fall into
+the same trap, so everything it records about itself lands here:
 
-Same hot-path discipline as the ring logger: a completed span is one
-tuple appended into a fixed-size ring under a single short critical
-section; nothing is formatted, nothing allocated beyond the record, no
-I/O.  Every record carries a **wall + monotonic timestamp pair** so the
-exporter can merge rings from many processes without trusting any one
-process's wall clock (NTP slew, clock steps).
+* a **span** answers "how long did it take and when, relative to
+  everything else" — fork-handler phases, command round trips,
+  parked-UE dwell times;
+* an **instant** (:func:`debug_event`) is a debug-log line: a
+  zero-duration record with no span id.
 
-Since the causality layer landed, every span opened through
-:meth:`SpanRecorder.begin` also carries an **identity**: a span id plus
-the parent span id taken from the calling thread's active
-:class:`~repro.obs.causality.TraceContext` (or an explicit ``parent=``).
-That identity is what lets the exporter draw fork and RPC flow edges
-between processes, and what the black box dedupes on.
+Hot-path discipline: a record is one tuple appended into a fixed-size
+ring under a single short critical section; nothing is formatted,
+nothing allocated beyond the record, no I/O.  Every record carries a
+**wall + monotonic timestamp pair** so the exporter
+(:mod:`repro.obs.export`) can merge rings from many processes without
+trusting any one process's wall clock (NTP slew, clock steps).
 
-A forked child inherits the parent's ring; its spans describe the
-parent's timeline, so the child's fork handler calls
-:meth:`SpanRecorder.reset_after_fork`.  The black box drains the ring
-incrementally through :meth:`SpanRecorder.drain_since`; an optional
-flush hook fires every ``interval`` records, outside the ring lock.
+Every span opened through :meth:`SpanRecorder.begin` also carries an
+**identity**: a span id plus the parent span id taken from the calling
+thread's active :class:`~repro.obs.causality.TraceContext` (or an
+explicit ``parent=``).  That identity is what lets the exporter draw
+fork and RPC flow edges between processes, and what the black box
+dedupes on.
+
+Readers never clear the ring.  Each keeps its own cursor and reads
+through :meth:`SpanRecorder.drain_since`: the black box (incrementally,
+from a flush hook that only spans fire, so a debug line never costs
+I/O), the ``telemetry`` command, ``debug_log``.  Only
+:meth:`SpanRecorder.reset_after_fork` clears it: a forked child's
+inherited records describe the parent's timeline.
 """
 
 from __future__ import annotations
@@ -81,9 +87,9 @@ class _OpenSpan:
 
 
 class SpanRecorder:
-    """Fixed-capacity ring of completed spans (the flight recorder)."""
+    """Fixed-capacity ring of completed spans and instants."""
 
-    def __init__(self, capacity: int = 2048):
+    def __init__(self, capacity: int = 6144):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self._capacity = capacity
@@ -92,6 +98,8 @@ class SpanRecorder:
         self._lock = threading.Lock()
         self._flush_hook: Optional[Callable[[], None]] = None
         self._flush_interval = 0
+        #: seq at or after which the next span fires the flush hook
+        self._flush_due = 0
 
     @property
     def capacity(self) -> int:
@@ -132,20 +140,35 @@ class SpanRecorder:
             self._next_seq += 1
             self._records[seq % self._capacity] = entry
             hook = self._flush_hook
-            interval = self._flush_interval
+            if hook is None or seq < self._flush_due:
+                return
+            self._flush_due = seq + self._flush_interval
         # Fire the incremental-flush hook outside the ring lock so its
         # I/O can never block another recording thread.
-        if hook is not None and interval and (seq + 1) % interval == 0:
-            hook()
+        hook()
+
+    def instant(self, category: str, message: str) -> None:
+        """Append one debug-log line: zero duration, no span id, and
+        never the flush hook — logging must not cost I/O."""
+        entry = (message, category, os.getpid(), threading.get_ident(),
+                 time.time(), time.monotonic(), None, None,
+                 None, None, None)
+        with self._lock:
+            seq = self._next_seq
+            self._next_seq += 1
+            self._records[seq % self._capacity] = entry
 
     # -- reading ---------------------------------------------------------------
 
     @staticmethod
-    def _to_dict(row: tuple, seq: Optional[int] = None) -> Dict[str, Any]:
+    def _to_dict(row: tuple, seq: int) -> Dict[str, Any]:
         (name, cat, pid, tid, wall, mono, dur, args,
          span_id, parent_id, trace_id) = row
         record = {"name": name, "cat": cat, "pid": pid, "tid": tid,
-                  "wall": wall, "mono": mono, "dur": dur}
+                  "wall": wall, "mono": mono, "dur": dur or 0.0,
+                  "seq": seq}
+        if dur is None:
+            record["ph"] = "i"
         if args:
             record["args"] = dict(args)
         if span_id is not None:
@@ -154,30 +177,17 @@ class SpanRecorder:
             record["parent"] = parent_id
         if trace_id is not None:
             record["trace"] = trace_id
-        if seq is not None:
-            record["seq"] = seq
         return record
-
-    def snapshot(self, reset: bool = False) -> List[Dict[str, Any]]:
-        """Retained spans, oldest first, as JSON-ready dicts."""
-        with self._lock:
-            total = self._next_seq
-            start = max(0, total - self._capacity)
-            rows = [self._records[s % self._capacity]
-                    for s in range(start, total)]
-            if reset:
-                self._records = [None] * self._capacity
-                self._next_seq = 0
-        return [self._to_dict(row) for row in rows if row is not None]
 
     def drain_since(self, cursor: int) -> Tuple[int, int, List[Dict[str, Any]]]:
         """Records with seq >= *cursor* still in the ring, oldest first.
 
         Returns ``(new_cursor, dropped, records)`` where *dropped*
-        counts records that rolled off the ring before being drained —
-        the black box reports that honestly instead of papering over a
-        gap.  Record dicts carry their ``seq`` so a reader can order and
-        dedupe dumps even when the same span batch was written twice.
+        counts records that rolled off the ring before this reader got
+        to them — the black box reports that honestly instead of
+        papering over a gap.  Record dicts carry their ``seq`` so a
+        reader can order and dedupe dumps even when the same batch was
+        written twice.  Reading never clears the ring.
         """
         with self._lock:
             total = self._next_seq
@@ -185,18 +195,24 @@ class SpanRecorder:
             rows = [(s, self._records[s % self._capacity])
                     for s in range(start, total)]
         dropped = max(0, start - cursor) if cursor < total else 0
-        records = [self._to_dict(row, seq=s)
-                   for s, row in rows if row is not None]
+        records = [self._to_dict(row, s) for s, row in rows
+                   if row is not None]
         return total, dropped, records
+
+    def snapshot(self) -> List[Dict[str, Any]]:
+        """Every record still in the ring, oldest first."""
+        return self.drain_since(0)[2]
 
     def set_flush_hook(self, hook: Optional[Callable[[], None]],
                        interval: int = 256) -> None:
-        """Install *hook* to run after every *interval*-th record (or
-        remove it with ``None``).  Runs on the recording thread, outside
-        the ring lock; the hook owns its own reentrancy protection."""
+        """Install *hook* to run on the first span recorded at least
+        *interval* records after the last run (or remove it with
+        ``None``).  Runs on the recording thread, outside the ring lock;
+        the hook owns its own reentrancy protection."""
         with self._lock:
             self._flush_hook = hook
             self._flush_interval = max(1, int(interval)) if hook else 0
+            self._flush_due = self._next_seq + self._flush_interval - 1
 
     @property
     def dropped(self) -> int:
@@ -204,19 +220,20 @@ class SpanRecorder:
             return max(0, self._next_seq - self._capacity)
 
     def reset_after_fork(self) -> None:
-        """Child fork handler: inherited spans are the parent's timeline.
+        """Child fork handler: inherited records are the parent's
+        timeline.  The only call that clears the ring.
 
         Fresh lock, assignments only: the inherited lock may have been
-        held by a parent thread mid-:meth:`record` at the fork moment,
-        and this child is single-threaded — acquiring it would deadlock
-        forever.
+        held by a parent thread mid-append at the fork moment, and this
+        child is single-threaded — acquiring it would deadlock forever.
         """
         self._lock = threading.Lock()
         self._records = [None] * self._capacity
         self._next_seq = 0
+        self._flush_due = self._flush_interval - 1
 
 
-#: Process-global flight recorder, exported by the `telemetry` command
+#: The process's one event ring, exported by the `telemetry` command
 #: and reset in forked children alongside the metrics registry.
 SPANS = SpanRecorder()
 
@@ -224,5 +241,22 @@ SPANS = SpanRecorder()
 def span(name: str, cat: str = "debug",
          parent: Optional[causality.TraceContext] = None,
          **args: Any) -> _OpenSpan:
-    """Record one span on the global flight recorder."""
+    """Record one span on the global ring."""
     return SPANS.span(name, cat, parent=parent, **args)
+
+
+def debug_event(category: str, message: str) -> None:
+    """Record one debug-log line (an instant) on the global ring."""
+    SPANS.instant(category, message)
+
+
+def is_instant(record: Dict[str, Any]) -> bool:
+    """True for a ring record that is a debug-log line."""
+    return record.get("ph") == "i"
+
+
+def format_instant(record: Dict[str, Any]) -> str:
+    """One instant as a log line: ``[seq mono pid.tid category] text``."""
+    return (f"[{record['seq']:06d} {record['mono']:.6f} "
+            f"{record['pid']}.{record['tid']} {record['cat']}] "
+            f"{record['name']}")

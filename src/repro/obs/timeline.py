@@ -9,8 +9,9 @@ behind ``DebugClient.cluster_timeline()`` and ``dionea timeline``.
 Merge rules, chosen for honesty over tidiness:
 
 * a process seen both live and in a dump contributes the **union** of
-  its spans, deduped by span id (ring ``seq`` as fallback), with the
-  live snapshot preferred for metrics and ring log;
+  its ring records, spans and debug-log instants alike, deduped by
+  span id (by owner, name and monotonic stamp when a record has none),
+  with the live snapshot preferred for metrics;
 * dump records may arrive out of order, duplicated (a span batch can be
   flushed twice around a marker) or truncated mid-line (SIGKILL);
   the reader counts damage, the assembler dedupes, nothing is raised;
@@ -41,11 +42,12 @@ UNCLEAN = "unclean"
 
 
 def _span_key(span: Dict[str, Any]) -> Tuple:
-    """Dedupe identity for a span dict across snapshots and dumps."""
+    """Dedupe identity for a ring record across snapshots and dumps.
+
+    Not the ring ``seq``: it restarts at 0 in every image of an
+    exec-rotated pid, so two images' records would collide."""
     if span.get("id") is not None:
         return ("id", span["id"])
-    if span.get("seq") is not None:
-        return ("seq", span.get("pid"), span["seq"])
     return ("pos", span.get("pid"), span.get("tid"), span.get("name"),
             round(float(span.get("mono", 0.0)), 9))
 
@@ -60,7 +62,6 @@ def snapshot_from_dump(dump: BlackBoxDump) -> Optional[Dict[str, Any]]:
     trace: Optional[Dict[str, Any]] = None
     spans: Dict[Tuple, Dict[str, Any]] = {}
     metrics: Optional[Dict[str, Any]] = None
-    ringlog: Dict[Tuple, Dict[str, Any]] = {}
     anchor: Optional[Tuple[float, float]] = None
     ring_dropped = 0
     for record in dump.records:
@@ -86,11 +87,6 @@ def snapshot_from_dump(dump: BlackBoxDump) -> Optional[Dict[str, Any]]:
         elif kind == "metrics":
             if isinstance(record.get("snapshot"), dict):
                 metrics = record["snapshot"]
-        elif kind == "ringlog":
-            for row in record.get("records") or []:
-                if isinstance(row, dict) and "mono" in row:
-                    ringlog.setdefault(
-                        (row.get("seq"), row.get("message")), row)
     ordered = sorted(spans.values(),
                      key=lambda s: (s.get("seq") is None,
                                     s.get("seq", 0),
@@ -101,8 +97,6 @@ def snapshot_from_dump(dump: BlackBoxDump) -> Optional[Dict[str, Any]]:
             labels.get("program"), str) else None) or "debuggee",
         "spans": ordered,
         "metrics": metrics or {},
-        "ringlog": sorted(ringlog.values(),
-                          key=lambda r: r.get("mono", 0.0)),
         "source": "blackbox",
         "blackbox_path": dump.path,
         "terminal": dump.terminal_reason() or UNCLEAN,
@@ -126,11 +120,6 @@ def _merge(live: Dict[str, Any], dumped: Dict[str, Any]) -> Dict[str, Any]:
         seen.setdefault(_span_key(span), span)
     merged["spans"] = sorted(seen.values(),
                              key=lambda s: (s.get("mono", 0.0)))
-    logs: Dict[Tuple, Dict[str, Any]] = {}
-    for row in (dumped.get("ringlog") or []) + (live.get("ringlog") or []):
-        logs.setdefault((row.get("seq"), row.get("message")), row)
-    merged["ringlog"] = sorted(logs.values(),
-                               key=lambda r: r.get("mono", 0.0))
     merged["source"] = "merged"
     # A process still answering telemetry has not terminated.
     merged.pop("terminal", None)

@@ -398,18 +398,16 @@ def cmd_profile_report(server: "DebugServer",
 
 @command("telemetry")
 def cmd_telemetry(server: "DebugServer", args: Dict[str, Any]) -> Any:
-    """One process's full observability snapshot (metrics, spans, log).
+    """One process's full observability snapshot (metrics, ring records).
 
-    ``reset=True`` atomically drains the metric shards and span ring as
-    they are read — the next snapshot then covers only the interval
-    since this one (rate measurement without client-side bookkeeping).
-    The ring log is never drained: it is the flight recorder, and a
-    telemetry poll must not eat the crash evidence.
+    ``reset=True`` drains the metric shards and moves telemetry's own
+    cursor on the event ring past what it returns — the next snapshot
+    then covers only the interval since this one (rate measurement
+    without client-side bookkeeping).  The ring itself is never
+    cleared: a telemetry poll must not eat the crash evidence.
     """
     from .. import obs
-    reset = bool(args.get("reset", False))
-    limit = int(args.get("ringlog_limit", 500))
-    snap = obs.telemetry_snapshot(reset=reset, ringlog_limit=limit)
+    snap = obs.telemetry_snapshot(reset=bool(args.get("reset", False)))
     snap["pid"] = server.session.pid
     snap["program"] = server.session.program
     snap["epoch"] = server.session.epoch
@@ -431,12 +429,12 @@ def cmd_blackbox(server: "DebugServer", args: Dict[str, Any]) -> Any:
 
 @command("debug_log")
 def cmd_debug_log(server: "DebugServer", args: Dict[str, Any]) -> Any:
-    """The debugger's own ring log — for debugging the debugger."""
-    from ..util.ringlog import GLOBAL_LOG
-    records = GLOBAL_LOG.snapshot()
+    """The debug-log lines (instants) still in the event ring — for
+    debugging the debugger."""
+    from ..obs.spans import SPANS, format_instant, is_instant
+    lines = [format_instant(r) for r in SPANS.snapshot() if is_instant(r)]
     limit = int(args.get("limit", 200))
-    return {"dropped": GLOBAL_LOG.dropped,
-            "records": [r.format() for r in records[-limit:]]}
+    return {"dropped": SPANS.dropped, "records": lines[-limit:]}
 
 
 # -- modes and lifecycle ------------------------------------------------------------------

@@ -39,7 +39,7 @@ from time import perf_counter as _perf_counter
 from ..obs import causality
 from ..obs import metrics as obs_metrics
 from ..obs.blackbox import BLACKBOX, REASON_WATCHDOG_HEAL
-from ..obs.spans import SPANS
+from ..obs.spans import SPANS, debug_event
 from ..testkit import faults
 from ..tracing.breakpoints import BreakpointStore
 from ..tracing.control import UEController
@@ -50,7 +50,6 @@ from ..util.framing import RecvBuffer, SendBuffer
 from ..util.ids import UEId
 from ..util.portfile import PortFile, PortRecord
 from ..util.reactor import Channel, Reactor, Timer
-from ..util.ringlog import debug_event
 from . import protocol
 from .commands import dispatch
 from .sessionstate import SessionState
@@ -185,7 +184,16 @@ class DebugServer:
         an ``EV_DETACHED`` farewell (NOT ``server_exit`` — the process
         lives on).  Idempotent; safe from any thread, including the
         watchdog's.
+
+        In a child still holding the parent's server (see
+        :attr:`_inherited`) it touches nothing of the parent's: no
+        tombstone, no farewell, and the inherited descriptors are closed
+        the way phase C closes them.
         """
+        inherited = self._inherited
+        if inherited:
+            # Single-threaded child: replace the lock, never wait on it.
+            self._detach_lock = threading.Lock()
         with self._detach_lock:
             if self._detached or not self._started:
                 return
@@ -197,13 +205,13 @@ class DebugServer:
         BLACKBOX.force_flush(f"detach:{reason}", terminal=True)
         # Tombstone BEFORE the sockets go: the instant the listener
         # dies, a watching client starts redialing unless told not to.
-        if self.portfile is not None:
+        if self.portfile is not None and not inherited:
             try:
                 self.portfile.tombstone(self.session.pid, host=self._host,
                                         reason=reason)
             except (OSError, ReproError):
                 debug_event("server", "portfile tombstone failed")
-        self._shutdown(protocol.make_event(
+        self._shutdown(None if inherited else protocol.make_event(
             protocol.EV_DETACHED,
             {"pid": self.session.pid, "reason": reason}))
         callback = self.on_detach
@@ -217,14 +225,27 @@ class DebugServer:
     def detached(self) -> bool:
         return self._detached
 
+    @property
+    def _inherited(self) -> bool:
+        """True in a forked child whose phase C failed before
+        :meth:`reinit_after_fork`: the session block still names the
+        parent's pid, and the transport is the parent's."""
+        return self.session.pid != os.getpid()
+
     def _shutdown(self, farewell: Optional[dict]) -> None:
         """Common teardown for close() and detach(): release everything."""
         if not self._started:
             return
         self._started = False
+        # An inherited server's reactor and watchdog threads are the
+        # parent's and did not survive the fork.
+        inherited = self._inherited
         self._cancel_grace_timer()
         if self.watchdog is not None:
-            self.watchdog.stop()
+            if inherited:
+                self.watchdog.reset_after_fork()
+            else:
+                self.watchdog.stop()
         if self.profiler is not None and self.profiler.running:
             self.profiler.stop()
         if self.output_capture.installed:
@@ -233,6 +254,9 @@ class DebugServer:
             self.input_feed.uninstall()
         if self.engine.installed:
             self.engine.uninstall()  # also releases every parked UE
+        if inherited:
+            self._close_inherited_transport()
+            return
         reactor = self._reactor
         if reactor is not None:
             # Best-effort farewell: a peer that died first only makes
@@ -241,6 +265,17 @@ class DebugServer:
                 self._broadcast(farewell)
             reactor.close()
         self._reactor = self._endpoint = self._command = None
+
+    def _close_inherited_transport(self) -> None:
+        """Close every descriptor of the parent's reactor (its thread
+        did not survive the fork) without shutdown(2), which would act
+        on the parent's live sockets, and without taking any inherited
+        lock.  The parent's grace timer lived on that reactor's wheel
+        and goes with it."""
+        if self._reactor is not None:
+            self._reactor.close_after_fork()
+        self._reactor = self._endpoint = self._command = None
+        self._grace_timer = None
 
     def heal_listener(self, why: str) -> None:
         """Abandon a dead/wedged reactor and start a replacement.
@@ -569,15 +604,9 @@ class DebugServer:
         """
         # 1. The parent's reactor thread did not survive the fork; only
         #    its descriptors did.  Close them all — selector, wake pipe,
-        #    channel sockets, accept socket — without shutdown(2), which
-        #    would act on the parent's live sockets, and without taking
-        #    any inherited lock.  The parent's grace timer lived on that
-        #    reactor's wheel and goes with it: the child's session is a
+        #    channel sockets, accept socket.  The child's session is a
         #    fresh epoch with no client yet.
-        if self._reactor is not None:
-            self._reactor.close_after_fork()
-        self._reactor = self._endpoint = self._command = None
-        self._grace_timer = None
+        self._close_inherited_transport()
 
         # 2. Rewrite the metadata block with child identity.  Every
         #    lock here is replaced, never taken: a parent thread may have

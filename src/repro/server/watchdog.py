@@ -35,7 +35,7 @@ import time
 from typing import TYPE_CHECKING, Optional
 
 from ..obs import metrics as obs_metrics
-from ..util.ringlog import debug_event
+from ..obs.spans import debug_event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .debugserver import DebugServer

@@ -9,7 +9,7 @@ protocol, implemented here:
 * the trace engine never parks a UE while a transaction is running — the
   STM reports boundaries, and debugging actions are deferred to them;
 * **abort storms are a debugger event**: when one thread's abort streak
-  crosses a threshold, the monitor reports it (ring log + optional
+  crosses a threshold, the monitor reports it (debug log + optional
   client event via the active Dionea) and can park the thread *at the
   boundary* — outside any transaction — where inspection is safe;
 * every boundary is recorded, so the client can render a transaction
@@ -22,8 +22,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..obs.spans import debug_event
 from ..util.ids import UEId
-from ..util.ringlog import debug_event
 
 
 @dataclass

@@ -16,7 +16,7 @@ processes —
 
 — captures everything each run wrote to fd 1/2 plus its wait status,
 and demands they be *byte-identical*.  Orderly debugged runs also ship
-an evidence file (obs counters + ringlog lines) proving the resilience
+an evidence file (obs counters + debug-log lines) proving the resilience
 machinery actually engaged: a pass where the adversary never fired
 would be vacuous.
 
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..obs import metrics as obs_metrics
-from ..util.ringlog import GLOBAL_LOG
+from ..obs.spans import SPANS, format_instant, is_instant
 from . import faults
 from .scenarios import ScenarioContext, register_scenario
 
@@ -74,9 +74,9 @@ def _write_evidence(path: str) -> None:
     snap = obs_metrics.REGISTRY.snapshot()
     counters = {key: value for key, value in snap["counters"].items()
                 if key.startswith(_EVIDENCE_PREFIXES)}
-    ringlog = [record.format() for record in GLOBAL_LOG.snapshot()
-               if record.category in _EVIDENCE_CATEGORIES]
-    payload = json.dumps({"counters": counters, "ringlog": ringlog})
+    log = [format_instant(record) for record in SPANS.snapshot()
+           if is_instant(record) and record["cat"] in _EVIDENCE_CATEGORIES]
+    payload = json.dumps({"counters": counters, "log": log})
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(payload)
 

@@ -49,10 +49,9 @@ from time import perf_counter as _perf_counter
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..obs import metrics as obs_metrics
-from ..obs.spans import SPANS
+from ..obs.spans import SPANS, debug_event
 from ..util.errors import TraceError
 from ..util.ids import UEId
-from ..util.ringlog import debug_event
 from .breakpoints import BreakpointStore, canonical_file
 from .control import ResumeCommand, UEController
 from .frames import StackCapture, capture_stack

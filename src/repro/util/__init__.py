@@ -1,4 +1,4 @@
-"""Shared infrastructure: framing, ids, rendezvous, rendering, ring log."""
+"""Shared infrastructure: framing, ids, rendezvous, rendering."""
 
 from .errors import (
     BreakpointError,
@@ -26,7 +26,6 @@ from .framing import (
 )
 from .ids import IdAllocator, UEId, describe_ue
 from .portfile import PortFile, PortFileWatcher, PortRecord, default_portfile_path
-from .ringlog import GLOBAL_LOG, LogRecord, RingLog, debug_event
 from .serde import render_namespace, render_value
 
 __all__ = [
@@ -37,6 +36,5 @@ __all__ = [
     "MAX_FRAME_BYTES", "FrameDecoder", "decode_payload", "encode_frame",
     "IdAllocator", "UEId", "describe_ue",
     "PortFile", "PortFileWatcher", "PortRecord", "default_portfile_path",
-    "GLOBAL_LOG", "LogRecord", "RingLog", "debug_event",
     "render_namespace", "render_value",
 ]

@@ -18,8 +18,8 @@ import time
 import pytest
 
 from repro.client import DebugClient, DebugSession
+from repro.obs.spans import SPANS, is_instant
 from repro.server import protocol
-from repro.util import ringlog
 from repro.util.errors import (
     FramingError,
     RequestTimeoutError,
@@ -240,10 +240,10 @@ class TestScatterGather:
             assert set(out["errors"]) == {930002}
             assert "RequestTimeoutError" in out["errors"][930002]
             assert out["fleet"]["sessions"] == 3
-            # The hole is diagnosable from the obs ringlog afterwards.
-            lines = [r.message for r in ringlog.GLOBAL_LOG.snapshot()
-                     if "hole at pid 930002" in r.message]
-            assert lines, "cluster hole was not recorded in the ringlog"
+            # The hole is diagnosable from the obs event ring afterwards.
+            lines = [r["name"] for r in SPANS.snapshot()
+                     if is_instant(r) and "hole at pid 930002" in r["name"]]
+            assert lines, "cluster hole was not recorded on the ring"
 
     def test_gather_is_one_deadline_not_per_pid(self, fleet):
         """Sweep over N stalled pids costs ~1 timeout, not N timeouts."""

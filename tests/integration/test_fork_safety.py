@@ -5,8 +5,9 @@ another parent thread held at the fork is copied held, with no owner
 left to release it, so phase C must rebuild every lock it touches and
 never wait on an inherited one.  Also pinned here: a phase-C failure
 degrades only the child, a started Dionea registers one handler set,
-and ``stop()`` still tears everything down when another library has
-wrapped ``os.fork`` over Dionea's alias.
+a failed ``start()`` undoes itself, and ``stop()`` still tears
+everything down when another library has wrapped ``os.fork`` over
+Dionea's alias.
 """
 
 import operator
@@ -18,6 +19,10 @@ import pytest
 import repro.obs
 from repro.client import DebugClient
 from repro.core import Dionea, current_dionea
+from repro.forkhooks.augment import ForkPatcher
+from repro.forkhooks.registry import ForkHandlerRegistry
+from repro.tracing.engine import TraceEngine
+from repro.util.errors import ForkHookError
 from tests.conftest import wait_until
 from tests.integration.test_fork_following import wait_child
 
@@ -102,6 +107,66 @@ def test_child_telemetry_failure_degrades_only_the_child(portfile_path,
     finally:
         client.close()
         debugger.stop()
+
+
+def test_child_engine_failure_degrades_only_the_child(portfile_path,
+                                                      monkeypatch):
+    """A phase-C step after the telemetry reset raises, so the child
+    degrades while it still holds the parent's server (its session
+    block names the parent's pid).  That detach must close only the
+    child's copies of the descriptors: no farewell on the parent's
+    socket and no tombstone for the parent's pid."""
+    debugger = Dionea(program="engine-fails", portfile_path=portfile_path,
+                      park_timeout=15.0).start()
+    client = DebugClient()
+    try:
+        client.watch_portfile(debugger.portfile, poll_interval=0.01)
+        session = client.session_for_pid(os.getpid(), timeout=10.0)
+
+        def failing_reset(self):
+            raise RuntimeError("engine reset failed")
+
+        monkeypatch.setattr(TraceEngine, "reset_after_fork", failing_reset)
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0)
+        monkeypatch.undo()
+        assert wait_child(pid, timeout=10.0) == 0
+        assert not any(r.tombstoned and r.pid == os.getpid()
+                       for r in debugger.portfile.read_all())
+        assert session.request("status", timeout=5.0)["pid"] == os.getpid()
+        assert not session.closed
+    finally:
+        client.close()
+        debugger.stop()
+
+
+def test_failed_start_undoes_itself(portfile_path):
+    """start() raises after the server is up (another fork patcher holds
+    os.fork): no thread, port-file record or handler set may outlive
+    it, and a Dionea started later works."""
+    before = dionea_threads()
+    foreign = ForkPatcher(ForkHandlerRegistry())
+    foreign.install()
+    try:
+        debugger = Dionea(program="failed-start",
+                          portfile_path=portfile_path, park_timeout=15.0)
+        with pytest.raises(ForkHookError):
+            debugger.start()
+        debugger.stop()
+        assert current_dionea() is None
+        assert debugger.fork_registry.labels == []
+        assert not os.path.exists(portfile_path)
+        wait_until(lambda: not (dionea_threads() - before),
+                   message="dionea threads to exit")
+    finally:
+        foreign.uninstall()
+    fresh = Dionea(program="fresh", portfile_path=portfile_path + ".2",
+                   park_timeout=15.0).start()
+    try:
+        assert fresh.started and fresh.patcher.installed
+    finally:
+        fresh.stop()
 
 
 def test_started_dionea_registers_one_handler_set(dionea):

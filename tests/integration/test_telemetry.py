@@ -48,7 +48,10 @@ class TestTelemetryCommand:
         assert snap["program"] == "test"
         assert snap["epoch"] == dionea.server.session.epoch
         assert snap["fork_generation"] == 0
-        assert {"clock", "metrics", "spans", "ringlog"} <= set(snap)
+        assert {"clock", "metrics", "spans"} <= set(snap)
+        # One ring: debug-log lines ride in "spans" as instants.
+        assert "ringlog" not in snap
+        assert any(r.get("ph") == "i" for r in snap["spans"])
         assert {"wall", "mono"} <= set(snap["clock"])
         metrics = snap["metrics"]
         assert metrics["labels"]["pid"] == os.getpid()
@@ -84,15 +87,17 @@ class TestTelemetryCommand:
 
     def test_ringlog_rides_along_but_is_not_drained(self, dionea,
                                                     watching_client):
-        from repro.util.ringlog import GLOBAL_LOG, debug_event
-        debug_event("test", "telemetry ringlog probe")
+        obs.debug_event("test", "telemetry ringlog probe")
         session = watching_client.sessions()[0]
         snap = session.request("telemetry", {"reset": True})
-        messages = [r["message"] for r in snap["ringlog"]]
-        assert "telemetry ringlog probe" in messages
-        # reset drains metrics/spans, never the flight recorder
-        survivors = [r.message for r in GLOBAL_LOG.snapshot()]
-        assert "telemetry ringlog probe" in survivors
+        probes = [r for r in snap["spans"]
+                  if r["name"] == "telemetry ringlog probe"]
+        assert [r.get("ph") for r in probes] == ["i"]
+        # reset moves telemetry's cursor, never clears the ring: the
+        # line is still there for debug_log (and the black box)
+        log = session.request("debug_log", {"limit": 10000})
+        assert any("telemetry ringlog probe" in line
+                   for line in log["records"])
 
 
 class TestForkAwareness:

@@ -5,8 +5,9 @@ import os
 
 import pytest
 
+from repro import obs
 from repro.obs import blackbox as bb
-from repro.obs.spans import SpanRecorder
+from repro.obs.spans import SPANS, SpanRecorder
 
 
 @pytest.fixture
@@ -87,6 +88,68 @@ class TestWriting:
         box._recorder.record("x", "t", 1.0, 1.0, 0.0)  # noqa: SLF001
         box.force_flush("stop")  # must not raise
         assert not box.enabled
+
+
+def dumped_names(path):
+    return [span["name"] for record in read_lines(path)
+            if record["kind"] == "spans" for span in record["spans"]]
+
+
+class TestOneRing:
+    """The box reads the one event ring through its own cursor."""
+
+    def test_telemetry_reset_does_not_starve_the_box(self, tmp_path):
+        box = bb.BlackBox(recorder=SPANS)
+        # The first flush also drains what earlier tests left on the
+        # ring: lift the byte budget so no payload is dropped for it.
+        box.configure(str(tmp_path), "starve", limit_bytes=1 << 26)
+        try:
+            for i in range(300):
+                SPANS.record(f"before-{i}", "t", 1.0, 1.0, 0.0)
+            box.flush()
+            obs.telemetry_snapshot(reset=True)
+            for i in range(200):
+                SPANS.record(f"after-{i}", "t", 1.0, 1.0, 0.0)
+            box.force_flush("stop", terminal=True)
+            path = box.path
+            assert box.describe()["payloads_dropped"] == 0
+        finally:
+            box.configure(None, "starve")
+        names = dumped_names(path)
+        assert sum(n.startswith("after-") for n in names) == 200
+        assert all(r.get("ring_dropped", 0) == 0 for r in read_lines(path))
+
+    def test_debug_line_reaches_the_incremental_flush(self, tmp_path):
+        # A SIGKILLed process never force-flushes: its log lines must
+        # ride the incremental flushes with the spans.
+        bb.BLACKBOX.configure(str(tmp_path), "incremental")
+        try:
+            obs.debug_event("test", "incremental debug line")
+            bb.BLACKBOX.flush()
+            path = bb.BLACKBOX.path
+        finally:
+            bb.BLACKBOX.configure(None, "incremental")
+        lines = [span for record in read_lines(path)
+                 if record["kind"] == "spans" for span in record["spans"]
+                 if span["name"] == "incremental debug line"]
+        assert len(lines) == 1
+        assert lines[0]["ph"] == "i" and lines[0]["cat"] == "test"
+        kinds = {record["kind"] for record in read_lines(path)}
+        assert "marker" not in kinds and "ringlog" not in kinds
+
+
+    def test_restart_does_not_redump_drained_records(self, box, tmp_path):
+        # Dionea.stop() then start() in one process: the new dump holds
+        # only what happened since, or a full ring would eat its budget.
+        box._recorder.instant("test", "first session")  # noqa: SLF001
+        box.force_flush("stop", terminal=True)
+        first = box.path
+        box.configure(str(tmp_path), "unit-test")
+        box._recorder.instant("test", "second session")  # noqa: SLF001
+        box.flush()
+        assert box.path != first
+        assert dumped_names(first) == ["first session"]
+        assert dumped_names(box.path) == ["second session"]
 
 
 class TestForkRotation:

@@ -6,7 +6,7 @@ from repro.obs.export import chrome_trace, validate_trace, write_chrome_trace
 
 
 def make_snapshot(pid=100, program="debuggee", wall=1000.0, mono=50.0,
-                  spans=None, ringlog=None, counters=None):
+                  spans=None, counters=None):
     """A telemetry snapshot shaped like the `telemetry` command's reply."""
     return {
         "pid": pid,
@@ -16,7 +16,6 @@ def make_snapshot(pid=100, program="debuggee", wall=1000.0, mono=50.0,
         "metrics": {"labels": {"pid": pid}, "counters": counters or {},
                     "gauges": {}, "histograms": {}},
         "spans": spans or [],
-        "ringlog": ringlog or [],
     }
 
 
@@ -41,9 +40,12 @@ class TestChromeTrace:
         assert validate_trace(doc) == []
 
     def test_ringlog_record_becomes_instant_event(self):
-        record = {"seq": 1, "timestamp": 999.5, "mono": 49.5, "pid": 100,
-                  "tid": 3, "category": "server", "message": "hello"}
-        doc = chrome_trace([make_snapshot(ringlog=[record])])
+        # A debug-log line rides the one ring as an instant.
+        record = {"name": "hello", "cat": "server", "pid": 100, "tid": 3,
+                  "wall": 999.5, "mono": 49.5, "dur": 0.0, "seq": 1,
+                  "ph": "i"}
+        doc = chrome_trace([make_snapshot(spans=[record])])
+        assert not [e for e in doc["traceEvents"] if e["ph"] == "X"]
         (i_event,) = [e for e in doc["traceEvents"] if e["ph"] == "i"]
         assert i_event["name"] == "hello"
         assert i_event["cat"] == "server"

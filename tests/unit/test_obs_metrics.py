@@ -182,6 +182,55 @@ class TestSnapshotReset:
         assert reg.snapshot()["counters"]["c"] == 2
 
 
+class TestShardRetirement:
+    def test_exited_threads_fold_into_one_retired_shard(self):
+        # A process that starts and stops threads (one reactor thread
+        # per Dionea start) must not keep one shard per thread forever.
+        reg = MetricsRegistry()
+
+        def work(i):
+            reg.inc("t.count", 2)
+            reg.observe("t.seconds", 0.001 * (i + 1))
+
+        for i in range(20):
+            thread = threading.Thread(target=work, args=(i,))
+            thread.start()
+            thread.join()
+            # live threads owning a shard: only this one so far, and
+            # the exited ones fold into one retired shard
+            assert len(reg._shards) <= 2  # noqa: SLF001
+        reg.inc("t.count")
+        assert len(reg._shards) == 2  # noqa: SLF001 - main + retired
+        snap = reg.snapshot()
+        assert snap["counters"]["t.count"] == 41
+        hist = snap["histograms"]["t.seconds"]
+        assert hist["count"] == 20
+        assert sum(hist["counts"]) == 20
+        assert hist["sum"] == pytest.approx(0.001 * 210)
+        assert hist["min"] == pytest.approx(0.001)
+        assert hist["max"] == pytest.approx(0.020)
+
+    def test_live_threads_keep_their_own_shards(self):
+        reg = MetricsRegistry()
+        ready, release = threading.Barrier(4), threading.Event()
+
+        def work():
+            reg.inc("t.live")
+            ready.wait(5)
+            release.wait(5)
+
+        threads = [threading.Thread(target=work) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        ready.wait(5)
+        reg.inc("t.live")  # a birth while all three are alive
+        assert len(reg._shards) == 4  # noqa: SLF001
+        release.set()
+        for thread in threads:
+            thread.join()
+        assert reg.snapshot()["counters"]["t.live"] == 4
+
+
 class TestForkAwareness:
     def test_reset_after_fork_relabels_and_drops(self):
         reg = MetricsRegistry(labels={"program": "parent-prog"})

@@ -6,7 +6,9 @@ import time
 
 import pytest
 
-from repro.obs.spans import SpanRecorder
+from repro import obs
+from repro.obs.blackbox import FLUSH_INTERVAL
+from repro.obs.spans import SPANS, SpanRecorder
 
 
 class TestRecording:
@@ -55,11 +57,18 @@ class TestRecording:
 
 class TestReset:
     def test_snapshot_reset_drains(self):
-        rec = SpanRecorder(capacity=8)
-        with rec.span("a"):
+        # A telemetry reset moves telemetry's own cursor: each record
+        # comes back once, and the ring keeps it for every other reader.
+        with SPANS.span("telemetry-reset-probe"):
             pass
-        assert len(rec.snapshot(reset=True)) == 1
-        assert rec.snapshot() == []
+
+        def probes(records):
+            return [r for r in records
+                    if r["name"] == "telemetry-reset-probe"]
+
+        assert len(probes(obs.telemetry_snapshot(reset=True)["spans"])) == 1
+        assert probes(obs.telemetry_snapshot(reset=True)["spans"]) == []
+        assert len(probes(SPANS.snapshot())) == 1
 
     def test_reset_after_fork_clears_inherited_timeline(self):
         rec = SpanRecorder(capacity=8)
@@ -87,6 +96,29 @@ class TestReset:
         with rec.span("child-era"):  # fresh lock must be usable
             pass
         assert [s["name"] for s in rec.snapshot()] == ["child-era"]
+
+
+class TestFlushHook:
+    def test_instants_never_fire_the_flush_hook(self):
+        # Phases A and B log; a log line must never cost I/O.
+        def hook():
+            raise AssertionError("an instant fired the flush hook")
+
+        rec = SpanRecorder()
+        rec.set_flush_hook(hook, FLUSH_INTERVAL)
+        for i in range(2 * FLUSH_INTERVAL):
+            rec.instant("test", f"line {i}")
+        # The hook is armed: the first span past the interval fires it.
+        with pytest.raises(AssertionError, match="instant fired"):
+            rec.record("span", "test", time.time(), time.monotonic(), 0.0)
+
+    def test_spans_fire_the_hook_once_per_interval(self):
+        fired = []
+        rec = SpanRecorder()
+        rec.set_flush_hook(lambda: fired.append(rec.drain_since(0)[0]), 4)
+        for _ in range(9):
+            rec.record("s", "test", time.time(), time.monotonic(), 0.0)
+        assert fired == [4, 8]
 
 
 class TestThreadSafety:

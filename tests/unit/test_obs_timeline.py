@@ -136,7 +136,7 @@ class TestAssemble:
         live = {"pid": 100, "program": "worker",
                 "clock": {"wall": 1000.0, "mono": 10.0},
                 "spans": [span("still-live", 9, 9.0, span_id="s9")],
-                "metrics": {}, "ringlog": []}
+                "metrics": {}}
         doc = timeline.assemble([live], [dumped])
         names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
         assert {"rolled-off", "still-live"} <= names
@@ -186,6 +186,30 @@ class TestAssemble:
         names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
         assert {"a", "b"} <= names
         assert doc["otherData"]["processes"] == [100]
+
+    def test_exec_rotated_pid_keeps_both_images_log_lines(self):
+        # Each image's ring starts at seq 0, so seq cannot tell two
+        # images' records apart; both log lines must survive the merge.
+        def line(text, mono):
+            return {"name": text, "cat": "dionea", "pid": 100, "tid": 1,
+                    "wall": 990.0 + mono, "mono": mono, "dur": 0.0,
+                    "seq": 0, "ph": "i"}
+
+        before = make_dump(pid=100, records=[
+            open_record(100),
+            {"kind": "spans", "ring_dropped": 0,
+             "spans": [line("old image line", 1.0)]},
+            {"kind": "marker", "reason": "exec", "terminal": True},
+        ])
+        after = make_dump(pid=100, records=[
+            open_record(100, exec_of={"trace_id": "t", "span_id": "s"}),
+            {"kind": "spans", "ring_dropped": 0,
+             "spans": [line("new image line", 2.0)]},
+        ])
+        doc = timeline.assemble([], [before, after])
+        instants = {e["name"] for e in doc["traceEvents"] if e["ph"] == "i"}
+        assert {"old image line", "new image line"} <= instants
+        assert validate_trace(doc) == []
 
     def test_assemble_from_dir_tolerates_missing_dir(self):
         doc = timeline.assemble_from_dir(None)

@@ -1,29 +1,37 @@
-"""Unit tests: the ring logger (repro.util.ringlog)."""
+"""Unit tests: debug-log lines as instants on the one event ring
+(repro.obs.spans.SpanRecorder.instant / debug_event)."""
 
 import threading
 
 import pytest
 
-from repro.util.ringlog import RingLog
+from repro.obs.spans import SpanRecorder, format_instant, is_instant
+
+
+def messages(rec):
+    return [r["name"] for r in rec.snapshot() if is_instant(r)]
 
 
 class TestBasics:
     def test_emit_and_snapshot(self):
-        log = RingLog(capacity=8)
-        log.emit("cat", "first")
-        log.emit("cat", "second")
-        records = log.snapshot()
-        assert [r.message for r in records] == ["first", "second"]
-        assert records[0].seq == 0 and records[1].seq == 1
+        rec = SpanRecorder(capacity=8)
+        rec.instant("cat", "first")
+        rec.instant("cat", "second")
+        records = rec.snapshot()
+        assert [r["name"] for r in records] == ["first", "second"]
+        assert records[0]["seq"] == 0 and records[1]["seq"] == 1
+        # An instant: zero duration and no span id.
+        assert all(is_instant(r) and r["dur"] == 0.0 and "id" not in r
+                   for r in records)
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
-            RingLog(capacity=0)
+            SpanRecorder(capacity=0)
 
     def test_format_contains_fields(self):
-        log = RingLog()
-        log.emit("tracing", "hello")
-        text = log.snapshot()[0].format()
+        rec = SpanRecorder()
+        rec.instant("tracing", "hello")
+        text = format_instant(rec.snapshot()[0])
         assert "tracing" in text and "hello" in text
 
     def test_records_carry_wall_and_mono_clock_pair(self):
@@ -31,74 +39,78 @@ class TestBasics:
         wall for the anchor, monotonic for every offset (NTP-robust)."""
         import time
         wall_before, mono_before = time.time(), time.monotonic()
-        log = RingLog()
-        log.emit("c", "stamped")
+        rec = SpanRecorder()
+        rec.instant("c", "stamped")
         wall_after, mono_after = time.time(), time.monotonic()
-        record = log.snapshot()[0]
-        assert wall_before <= record.timestamp <= wall_after
-        assert mono_before <= record.mono <= mono_after
+        record = rec.snapshot()[0]
+        assert wall_before <= record["wall"] <= wall_after
+        assert mono_before <= record["mono"] <= mono_after
 
     def test_to_dict_is_json_ready(self):
         import json
-        log = RingLog()
-        log.emit("server", "wire me")
-        d = log.snapshot()[0].to_dict()
+        rec = SpanRecorder()
+        rec.instant("server", "wire me")
+        d = rec.snapshot()[0]
         json.dumps(d)
-        assert d["message"] == "wire me"
-        assert d["category"] == "server"
-        assert {"seq", "timestamp", "mono", "pid", "tid"} <= set(d)
+        assert d["name"] == "wire me"
+        assert d["cat"] == "server"
+        assert {"seq", "wall", "mono", "pid", "tid"} <= set(d)
 
 
 class TestRingSemantics:
     def test_overwrites_oldest(self):
-        log = RingLog(capacity=3)
+        rec = SpanRecorder(capacity=3)
         for i in range(5):
-            log.emit("c", f"m{i}")
-        assert [r.message for r in log.snapshot()] == ["m2", "m3", "m4"]
+            rec.instant("c", f"m{i}")
+        assert messages(rec) == ["m2", "m3", "m4"]
 
     def test_dropped_count(self):
-        log = RingLog(capacity=2)
+        rec = SpanRecorder(capacity=2)
         for i in range(5):
-            log.emit("c", str(i))
-        assert log.dropped == 3
+            rec.instant("c", str(i))
+        assert rec.dropped == 3
 
     def test_drain_clears(self):
-        log = RingLog(capacity=4)
-        log.emit("c", "x")
-        drained = log.drain()
-        assert [r.message for r in drained] == ["x"]
-        assert log.snapshot() == []
-        assert log.dropped == 0
+        # Readers keep cursors; reading never clears the ring, so one
+        # reader cannot eat what another has not read yet.
+        rec = SpanRecorder(capacity=4)
+        rec.instant("c", "x")
+        cursor, dropped, drained = rec.drain_since(0)
+        assert (cursor, dropped) == (1, 0)
+        assert [r["name"] for r in drained] == ["x"]
+        assert rec.drain_since(cursor)[2] == []
+        assert messages(rec) == ["x"]
+        assert [r["name"] for r in rec.drain_since(0)[2]] == ["x"]
 
     def test_reset_after_fork_clears(self):
-        log = RingLog(capacity=4)
-        log.emit("c", "parent record")
-        log.reset_after_fork()
-        assert log.snapshot() == []
+        rec = SpanRecorder(capacity=4)
+        rec.instant("c", "parent record")
+        rec.reset_after_fork()
+        assert rec.snapshot() == []
 
     def test_reset_after_fork_survives_a_held_lock(self):
         # A parent thread mid-emit at the fork moment leaves the
         # inherited lock held forever in the single-threaded child; the
         # reset must replace the lock, never acquire it.
-        log = RingLog(capacity=4)
-        inherited = log._lock
+        rec = SpanRecorder(capacity=4)
+        inherited = rec._lock
         inherited.acquire()
         try:
-            log.reset_after_fork()
+            rec.reset_after_fork()
         finally:
             inherited.release()
-        assert log._lock is not inherited
-        log.emit("c", "child record")
-        assert [r.message for r in log.snapshot()] == ["child record"]
+        assert rec._lock is not inherited
+        rec.instant("c", "child record")
+        assert messages(rec) == ["child record"]
 
 
 class TestConcurrency:
     def test_parallel_emitters_keep_all_records(self):
-        log = RingLog(capacity=10000)
+        rec = SpanRecorder(capacity=10000)
 
         def emit_many(tag):
             for i in range(500):
-                log.emit(tag, f"{tag}-{i}")
+                rec.instant(tag, f"{tag}-{i}")
 
         threads = [threading.Thread(target=emit_many, args=(f"t{k}",))
                    for k in range(4)]
@@ -106,9 +118,8 @@ class TestConcurrency:
             t.start()
         for t in threads:
             t.join()
-        records = log.snapshot()
+        records = rec.snapshot()
         assert len(records) == 2000
         # sequence numbers are unique and dense
-        seqs = [r.seq for r in records]
-        assert seqs == sorted(seqs)
-        assert len(set(seqs)) == 2000
+        seqs = [r["seq"] for r in records]
+        assert seqs == list(range(2000))

@@ -3,9 +3,10 @@
 
 The stdlib ``logging`` module takes a module-level lock on every emit,
 formats eagerly and may do I/O under that lock — every one of which
-violates the hot-path discipline that :mod:`repro.util.ringlog` and
-:mod:`repro.obs` exist to uphold (§3's low-intrusion promise applied to
-the debugger's own internals).  A single stray ``import logging`` in the
+violates the hot-path discipline that :mod:`repro.obs` (whose event
+ring, :mod:`repro.obs.spans`, also holds the debug log) exists to
+uphold (§3's low-intrusion promise applied to the debugger's own
+internals).  A single stray ``import logging`` in the
 tracing, fork-hook, mp or obs packages is how that discipline erodes, so
 CI fails on it.
 
@@ -150,7 +151,7 @@ def find_reactor_blocking_calls(path: str, function_names=None) -> list:
 #: and no listener yet).  A blocking call there — a socket send, a log
 #: emit, an un-timed lock wait — turns every fork() into a stall the
 #: do-no-harm invariant forbids.  Phase bodies may only touch memory
-#: and the ringlog; anything that can wait on another party is banned.
+#: and the event ring; anything that can wait on another party is banned.
 FORK_PHASE_MODULES = {
     os.path.join("src", "repro", "core", "handlers.py"): (
         "prepare_fork", "handle_parent_at_fork", "handle_child_at_fork"),
@@ -374,7 +375,7 @@ def main(argv: list) -> int:
             problems.append(
                 f"{rel}:{lineno}: blocking call {what} in a fork-phase "
                 f"body (prepare/child run with the debuggee frozen; "
-                f"memory and the ringlog only)")
+                f"memory and the event ring only)")
     for problem in scan_child_resets(root):
         problems.append(
             f"{problem} (the child has one thread: replace an inherited "
