@@ -25,6 +25,7 @@ from ..obs import metrics as obs_metrics
 from ..obs.spans import debug_event
 from ..server import protocol
 from ..tracing.frames import StackCapture
+from ..util import locks
 from ..util.errors import ReproError, SessionError, ViewError
 from ..util.ids import IdAllocator, UEId
 from ..util.portfile import PortFile, PortFileWatcher, PortRecord, pid_alive
@@ -60,7 +61,7 @@ class DebugClient:
                  reattach_attempts: int = 6):
         self._sessions: Dict[int, DebugSession] = {}
         self._views: Dict[UEId, DebugView] = {}
-        self._lock = threading.RLock()
+        self._lock = locks.RLock()
         #: signalled whenever a session is added (attach/auto-attach)
         self._session_signal = threading.Condition(self._lock)
         self._session_ids = IdAllocator("s")

@@ -16,10 +16,11 @@ record), regression fixtures, and documentation of reproduction steps.
 from __future__ import annotations
 
 import json
-import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
+
+from ..util import locks
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ class SessionRecorder:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        self._lock = locks.Lock()
         self._entries: List[TranscriptEntry] = []
         self._start = time.time()
 

@@ -31,6 +31,7 @@ from ..obs import metrics as obs_metrics
 from ..obs.spans import SPANS
 from ..server import protocol
 from ..server.sockets import connect_endpoint
+from ..util import locks
 from ..util.errors import (
     CommandError,
     FramingError,
@@ -149,9 +150,9 @@ class DebugSession:
         self._on_event = on_event
         self._request_ids = itertools.count(1)
         self._pending: Dict[int, PendingCall] = {}
-        self._pending_lock = threading.Lock()
+        self._pending_lock = locks.Lock()
         self._closed = threading.Event()
-        self._source_lock = threading.Lock()
+        self._source_lock = locks.Lock()
         #: set (with a reason) when the supervision layer declared this
         #: session dead, as opposed to an orderly local close
         self.lost_reason: Optional[str] = None
@@ -162,7 +163,7 @@ class DebugSession:
         self._ping_sent: Dict[int, float] = {}
         self._hb_seq = 0
         #: heartbeat RTT accounting for the fleet aggregate view
-        self._hb_stats_lock = threading.Lock()
+        self._hb_stats_lock = locks.Lock()
         self._hb_rtt_last: Optional[float] = None
         self._hb_rtt_min: Optional[float] = None
         self._hb_rtt_max: Optional[float] = None
@@ -172,7 +173,7 @@ class DebugSession:
         #: client-side record of debugging intent, for reattach resync:
         #: server breakpoint id -> (command, args) that created it
         self._bp_log: Dict[int, tuple] = {}
-        self._bp_lock = threading.Lock()
+        self._bp_lock = locks.Lock()
 
         # The shared loop (one per client); a standalone session builds
         # a private one so the constructor keeps working without a

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..obs.spans import debug_event
+from ..util import locks
 from ..util.ids import UEId
 
 
@@ -53,7 +54,7 @@ class WaitForGraph:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        self._lock = locks.Lock()
         self._waits: Dict[UEId, WaitEdge] = {}
         self._holds: Dict[str, Set[UEId]] = {}
 
@@ -81,10 +82,8 @@ class WaitForGraph:
                     self._holds.pop(resource, None)
 
     def reset_after_fork(self) -> None:
-        """Child fork handler: fresh lock, assignments only — every
-        blocking repro.mp wait takes the lock, so a parent thread may
-        have held it at the fork."""
-        self._lock = threading.Lock()
+        """Child fork handler: the inherited waits and holds name
+        parent threads."""
         self._waits = {}
         self._holds = {}
 
@@ -184,11 +183,11 @@ def resolve_wait_location(ue: UEId) -> Optional[str]:
     code — "the exact place where the deadlock occurred" (Fig. 7).
     """
     import os
-    import sys
+    from ..tracing.frames import current_frames
 
     if ue.pid != os.getpid():
         return None
-    frame = sys._current_frames().get(ue.tid)
+    frame = current_frames().get(ue.tid)
     repro_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     stdlib = _stdlib_prefix()
     while frame is not None:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import uuid
 from typing import Dict, Optional
 
@@ -40,6 +39,7 @@ from ..obs import metrics as obs_metrics
 from ..obs.blackbox import BLACKBOX, REASON_EXEC, REASON_STOP
 from ..obs.spans import debug_event
 from ..server.debugserver import DebugServer
+from ..util import locks
 from ..util.errors import ForkHookError, ReproError
 from ..util.ids import UEId
 from ..util.portfile import PortFile, default_portfile_path
@@ -47,7 +47,7 @@ from .deadlock import DeadlockDetector
 from .disturb import DisturbMode
 from .handlers import install_dionea_handlers, uninstall_dionea_handlers
 
-_current_lock = threading.Lock()
+_current_lock = locks.Lock()
 _current: Optional["Dionea"] = None
 
 #: env slot carrying a ``TraceContext.to_wire`` JSON dict across exec:

@@ -15,11 +15,11 @@ at that moment as exempt.
 from __future__ import annotations
 
 import os
-import sys
-import threading
 from typing import List, Optional, Set
 
 from ..obs.spans import debug_event
+from ..tracing.frames import current_frames
+from ..util import locks
 from ..util.ids import UEId
 
 
@@ -29,7 +29,7 @@ class DisturbMode:
     def __init__(self, enabled: bool = False,
                  stop_new_threads: bool = True,
                  stop_new_processes: bool = True):
-        self._lock = threading.Lock()
+        self._lock = locks.Lock()
         #: read lock-free by the trace engine's fast path
         self.enabled = False
         self.stop_new_threads = stop_new_threads
@@ -57,7 +57,7 @@ class DisturbMode:
                 # "newly created" is relative to this moment: every UE
                 # alive right now is exempt.
                 pid = os.getpid()
-                for tid in sys._current_frames():
+                for tid in current_frames():
                     self._seen.add(UEId(pid, tid))
             self.enabled = enabled
         if self.on_change is not None:
@@ -102,8 +102,6 @@ class DisturbMode:
         a new UE — its pid differs from the (inherited) primary's, so
         its first traced event parks it until the client, which
         auto-attached through the port file, chooses to release it.
-        Only the disturbed-UE list (parent bookkeeping) is cleared, under
-        a fresh lock (a parent thread may have held the old one).
+        Only the disturbed-UE list (parent bookkeeping) is cleared.
         """
-        self._lock = threading.Lock()
         self._disturbed = []

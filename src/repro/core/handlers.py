@@ -23,9 +23,10 @@ The three phases are one trusted :class:`~repro.forkhooks.registry.
 HandlerSet`, Dionea's only registration, so their order relative to any
 other registered handlers follows POSIX ``pthread_atfork`` discipline
 (section 5.2: other fork handlers run along with ours).  Phase C is the
-one child-side reset path: every step runs in the order written here,
-and none waits on a lock the child inherited — each reset replaces the
-lock it guards before touching the state behind it.
+one child-side reset path: every step runs in the order written here.
+Its first step unlocks every debugger lock in place
+(:func:`repro.util.locks.reinit_after_fork`), so no later step can wait
+on a lock a vanished parent thread held, and none replaces one.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from ..forkhooks.syncobjects import SyncObjectRegistry
 from ..obs.spans import debug_event
 from ..server.debugserver import DebugServer
 from ..tracing.engine import TraceEngine
+from ..util import locks
 
 if TYPE_CHECKING:  # pragma: no cover
     from .deadlock import DeadlockDetector
@@ -75,7 +77,10 @@ def install_dionea_handlers(
         debug_event("handlers", "phase B complete (parent resumed)")
 
     def handle_child_at_fork() -> None:
-        # C — telemetry first: the child inherits the parent's metric
+        # C — "initialize the synchronization objects": every debugger
+        # lock a parent thread held at the fork is unlocked in place.
+        locks.reinit_after_fork()
+        # Telemetry next: the child inherits the parent's metric
         # shards and event ring, which describe threads that do not
         # exist here and a pid that is not ours (the telemetry flavour
         # of Fig. 4's stale metadata).  Resetting them before anything

@@ -9,9 +9,10 @@ aggregates the client's copies into one tree.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
+
+from ..util import locks
 
 
 @dataclass
@@ -38,7 +39,7 @@ class ProcessTree:
     """Client-side aggregate over all attached sessions."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        self._lock = locks.Lock()
         self._nodes: Dict[int, ProcessNode] = {}
 
     def observe(self, pid: int, parent_pid: int,

@@ -24,11 +24,12 @@ from typing import Callable, Optional
 
 from ..obs import metrics as obs_metrics
 from ..obs.spans import debug_event
+from ..util import locks
 from ..util.errors import ForkHookError
 from . import resilience
 from .registry import ForkHandlerRegistry, run_around_fork
 
-_install_lock = threading.Lock()
+_install_lock = locks.Lock()
 _active_patcher: Optional["ForkPatcher"] = None
 
 

@@ -45,6 +45,7 @@ from ..obs import metrics as obs_metrics
 from ..obs.blackbox import BLACKBOX
 from ..obs.spans import SPANS, debug_event
 from ..testkit import faults
+from ..util import locks
 from ..util.errors import ForkHookError
 from .resilience import Quarantine, ResiliencePolicy, run_with_deadline
 
@@ -114,7 +115,7 @@ class ForkHandlerRegistry:
     """
 
     def __init__(self, policy: Optional[ResiliencePolicy] = None) -> None:
-        self._lock = threading.RLock()
+        self._lock = locks.RLock()
         self._handlers: List[HandlerSet] = []
         self._failures: List[HandlerFailure] = []
         self.policy = policy or ResiliencePolicy()

@@ -42,6 +42,7 @@ from typing import Callable, Dict, Optional
 
 from ..obs import metrics as obs_metrics
 from ..obs.spans import debug_event
+from ..util import locks
 from ..util.errors import ForkHookError
 
 Handler = Callable[[], None]
@@ -133,7 +134,7 @@ class Quarantine:
 
     def __init__(self, policy: ResiliencePolicy):
         self.policy = policy
-        self._lock = threading.Lock()
+        self._lock = locks.Lock()
         self._benched: Dict[str, QuarantineEntry] = {}
 
     def record_failure(self, label: str, reason: str) -> None:

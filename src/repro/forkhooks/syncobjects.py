@@ -33,6 +33,7 @@ import weakref
 from typing import Callable, Dict, List, Optional
 
 from ..obs.spans import debug_event
+from ..util import locks
 from ..util.errors import SyncObjectError
 
 
@@ -68,12 +69,11 @@ class SyncObjectRegistry:
     """Weak registry of managed sync objects plus the fork-time sweep."""
 
     def __init__(self, acquire_timeout: float = 5.0):
-        self._lock = threading.RLock()
+        self._lock = locks.RLock()
         #: token -> (alive_check, managed).  alive_check is a weakref to
-        #: the owner when the owner supports weak references (the entry
-        #: silently drops when the owner is collected), else a constant
-        #: True (the caller must unregister explicitly — this covers
-        #: ``_thread.lock``, which is not weak-referenceable).
+        #: the owner (the entry drops when the owner is collected), or
+        #: None for an owner that takes no weak references: the caller
+        #: must unregister that entry explicitly.
         self._entries: Dict[int, tuple] = {}
         self._counter = itertools.count()
         self._held: List[ManagedSyncObject] = []
@@ -169,12 +169,7 @@ class SyncObjectRegistry:
         return len(held)
 
     def reinit_after_fork(self) -> int:
-        """Child phase: rebuild every live object in a fresh unlocked state.
-
-        The registry lock is replaced first: a parent thread registering
-        a new object at the fork moment left the child's copy held.
-        """
-        self._lock = threading.RLock()
+        """Child phase: rebuild every live object in a fresh unlocked state."""
         self._held = []
         count = 0
         for managed in self.live_objects():
@@ -202,10 +197,10 @@ def manage_lock(registry: SyncObjectRegistry, lock: threading.Lock,
     real child the new lock state comes from the object's own owner
     (repro.mp primitives reinitialise their OS-level state instead).
 
-    Pass *owner* (any weak-referenceable object whose lifetime matches the
-    lock's) to get automatic deregistration; plain ``_thread.lock``
-    objects cannot be weakly referenced, so without an owner the entry
-    lives until :meth:`SyncObjectRegistry.unregister`.
+    Pass *owner* (an object whose lifetime matches the lock's) to have
+    the entry drop when it is collected.  Without one the entry is bound
+    to the lock, which the entry's own callbacks keep alive, so it lives
+    until :meth:`SyncObjectRegistry.unregister`.
     """
     def _acquire(timeout: float) -> bool:
         return lock.acquire(timeout=timeout)

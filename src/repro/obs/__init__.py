@@ -34,10 +34,10 @@ dead.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from typing import Any, Dict, Optional
 
+from ..util import locks
 from . import causality
 from .blackbox import BLACKBOX, install_crash_hooks
 from .export import chrome_trace, validate_trace, write_chrome_trace
@@ -64,7 +64,7 @@ __all__ = [
 
 #: the `telemetry` reader's cursor on the event ring (a reset moves
 #: it), and the lock that makes reading and moving it one step
-_telemetry_lock = threading.Lock()
+_telemetry_lock = locks.Lock()
 _telemetry_cursor = 0
 
 
@@ -97,11 +97,9 @@ def telemetry_snapshot(reset: bool = False) -> Dict[str, Any]:
 
 
 def _reset_ring() -> None:
-    """Clear the event ring and rewind telemetry's cursor with it.
-    Assignments only: the inherited lock may be held."""
-    global _telemetry_lock, _telemetry_cursor
+    """Clear the event ring and rewind telemetry's cursor with it."""
+    global _telemetry_cursor
     SPANS.reset_after_fork()
-    _telemetry_lock = threading.Lock()
     _telemetry_cursor = 0
 
 
@@ -125,7 +123,7 @@ def reset_after_fork(labels: Optional[Dict[str, Any]] = None) -> None:
     enabled, that lineage is flushed to disk *immediately*: a child
     SIGKILLed (or ``os._exit``-ed) moments after fork must still appear
     in the post-mortem timeline with its flow edge.  The flush is safe
-    here — the rotation replaced the inherited lock and the child is
+    here — phase C has unlocked the black box's lock and the child is
     single-threaded — and never raises (OSError marks the box broken).
     """
     parent_ctx = causality.reset_after_fork()

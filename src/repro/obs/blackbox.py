@@ -46,10 +46,10 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from typing import Any, Dict, List, Optional
 
+from ..util import locks
 from . import causality
 from .metrics import REGISTRY
 from .spans import SPANS, SpanRecorder
@@ -79,7 +79,7 @@ class BlackBox:
 
     def __init__(self, recorder: SpanRecorder = SPANS):
         self._recorder = recorder
-        self._lock = threading.Lock()
+        self._lock = locks.Lock()
         self._dir: Optional[str] = None
         self._program = ""
         self._labels: Dict[str, Any] = {}
@@ -273,13 +273,9 @@ class BlackBox:
     def reset_after_fork(self, parent_pid: int) -> None:
         """Child-side fork handler body: rotate onto a fresh dump file.
 
-        Assignments only — the inherited fd is dropped (closed lazily on
-        the first flush; O_APPEND makes the shared offset harmless) and
-        the file is recreated on first use.  The lock is replaced: the
-        parent copy may have been held by a flushing thread at the fork
-        moment, and the child is single-threaded here.
+        The inherited fd is closed and the file is recreated on first
+        use.
         """
-        self._lock = threading.Lock()
         fd, self._fd = self._fd, None
         self._path = None
         self._bytes = 0

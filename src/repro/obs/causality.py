@@ -42,6 +42,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
+from ..util import locks
+
 
 @dataclass(frozen=True)
 class TraceContext:
@@ -123,7 +125,7 @@ def new_trace_id() -> str:
 
 _tls = threading.local()
 
-_state_lock = threading.Lock()
+_state_lock = locks.Lock()
 _root: Optional[TraceContext] = None
 _control: Optional[TraceContext] = None
 _pending_fork: Optional[TraceContext] = None

@@ -33,6 +33,8 @@ import os
 import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..util import locks
+
 #: Default histogram bucket upper bounds, in seconds: 1 µs .. 30 s,
 #: roughly x3 per step.  Chosen to straddle every duration this debugger
 #: produces, from a dispatch tick to a parked UE's think time.
@@ -123,7 +125,7 @@ class MetricsRegistry:
     """Process-wide metrics with per-thread shards merged on snapshot."""
 
     def __init__(self, labels: Optional[Dict[str, Any]] = None):
-        self._lock = threading.Lock()
+        self._lock = locks.Lock()
         self._local = threading.local()
         self._shards: List[_Shard] = []
         self._gauges: Dict[str, float] = {}
@@ -258,12 +260,7 @@ class MetricsRegistry:
         The inherited shards describe the parent's threads (which do not
         exist here — §5.1) and the parent's pid; keeping them would be
         the telemetry version of the Fig. 4 stale-metadata bug.
-
-        Fresh lock, assignments only: the inherited lock may have been
-        held by a parent thread mid-snapshot at the fork moment, and the
-        single-threaded child would block on it forever.
         """
-        self._lock = threading.Lock()
         self._shards = []
         self._local = threading.local()
         self._gauges = {}

@@ -40,6 +40,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..util import locks
 from . import causality
 
 
@@ -95,7 +96,7 @@ class SpanRecorder:
         self._capacity = capacity
         self._records: List[Optional[tuple]] = [None] * capacity
         self._next_seq = 0
-        self._lock = threading.Lock()
+        self._lock = locks.Lock()
         self._flush_hook: Optional[Callable[[], None]] = None
         self._flush_interval = 0
         #: seq at or after which the next span fires the flush hook
@@ -223,12 +224,10 @@ class SpanRecorder:
         """Child fork handler: inherited records are the parent's
         timeline.  The only call that clears the ring.
 
-        Fresh lock, assignments only: the inherited lock may have been
-        held by a parent thread mid-append at the fork moment, and this
-        child is single-threaded — acquiring it would deadlock forever.
+        Only the sequence number and the flush mark go back: readers
+        read no seq at or past ``_next_seq``, so stale slots are never
+        seen, and keeping them spares a copy-on-write fault per record.
         """
-        self._lock = threading.Lock()
-        self._records = [None] * self._capacity
         self._next_seq = 0
         self._flush_due = self._flush_interval - 1
 

@@ -22,14 +22,15 @@ Composition:
 The 1 server : 1 client invariant of section 4.1 is enforced at hello
 time: a second ``command``-role connection is refused, because *"two
 different clients could control the same debuggee at the same time,
-making it inconsistent"*.
+making it inconsistent"*.  The one exception is a hello presenting the
+current session token: that is the same client redialing, and its new
+channel supersedes the old one.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-import threading
 import time
 import traceback
 from typing import Any, Callable, Dict, List, Optional
@@ -45,6 +46,7 @@ from ..tracing.breakpoints import BreakpointStore
 from ..tracing.control import UEController
 from ..tracing.engine import TraceEngine
 from ..tracing.frames import StackCapture
+from ..util import locks
 from ..util.errors import CommandError, ProtocolError, ReproError
 from ..util.framing import RecvBuffer, SendBuffer
 from ..util.ids import UEId
@@ -103,7 +105,7 @@ class DebugServer:
         #: lazily created by the profile_start command
         self.profiler = None
         self._last_stops: Dict[UEId, dict] = {}
-        self._stops_lock = threading.Lock()
+        self._stops_lock = locks.Lock()
         self._started = False
         #: wedge monitor; created in start()
         self.watchdog: Optional[ServerWatchdog] = None
@@ -112,7 +114,7 @@ class DebugServer:
         #: handler registrations) — the server only owns its own half.
         self.on_detach: Optional[Callable[[str], None]] = None
         self._detached = False
-        self._detach_lock = threading.Lock()
+        self._detach_lock = locks.Lock()
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -191,9 +193,6 @@ class DebugServer:
         the way phase C closes them.
         """
         inherited = self._inherited
-        if inherited:
-            # Single-threaded child: replace the lock, never wait on it.
-            self._detach_lock = threading.Lock()
         with self._detach_lock:
             if self._detached or not self._started:
                 return
@@ -383,26 +382,30 @@ class DebugServer:
         resumed = False
         if channel.role == protocol.ROLE_COMMAND:
             current = self._command
-            if current is not None and not current.closed:
-                # 1 server : 1 client (paper section 4.1).
-                self._send(channel, protocol.make_error(
-                    -1, "another client already controls this debuggee",
-                    kind="SessionError"))
-                raise ProtocolError("second command client refused")
             resume_token = hello.get("resume_token")
-            if resume_token is not None:
-                if resume_token != self.session.session_token:
-                    # Token-epoch mismatch: the reattacher holds a token
-                    # from a previous incarnation (a pre-fork parent, a
-                    # different process on a recycled port).  A stale
-                    # client driving this debuggee would corrupt both
-                    # sessions, so it is refused like a second client.
+            resumed = resume_token == self.session.session_token
+            if current is not None and not current.closed:
+                if not resumed:
+                    # 1 server : 1 client (paper section 4.1).
                     self._send(channel, protocol.make_error(
-                        -1, "stale session token: this debuggee is "
-                            f"epoch {self.session.epoch}",
-                        kind="SessionError"))
-                    raise ProtocolError("stale reattach token refused")
-                resumed = True
+                        -1, "another client already controls this "
+                            "debuggee", kind="SessionError"))
+                    raise ProtocolError("second command client refused")
+                # The token's holder redialed before the EOF of its old
+                # channel reached this loop: that channel is its own,
+                # superseded, and its close is no client loss.
+                current.reactor.close_channel(current)
+            elif resume_token is not None and not resumed:
+                # Token-epoch mismatch: the reattacher holds a token
+                # from a previous incarnation (a pre-fork parent, a
+                # different process on a recycled port).  A stale
+                # client driving this debuggee would corrupt both
+                # sessions, so it is refused like a second client.
+                self._send(channel, protocol.make_error(
+                    -1, "stale session token: this debuggee is "
+                        f"epoch {self.session.epoch}",
+                    kind="SessionError"))
+                raise ProtocolError("stale reattach token refused")
             self._command = channel
             # A command client (fresh or resuming) is back: whatever loss
             # grace was pending is void.
@@ -608,11 +611,9 @@ class DebugServer:
         #    fresh epoch with no client yet.
         self._close_inherited_transport()
 
-        # 2. Rewrite the metadata block with child identity.  Every
-        #    lock here is replaced, never taken: a parent thread may have
-        #    held it at the fork, and none will release it in the child.
+        # 2. Rewrite the metadata block with child identity.  Phase C has
+        #    already unlocked every lock here in place.
         self.session.rewrite_for_child()
-        self._stops_lock = threading.Lock()
         self._last_stops = {}
         self.output_capture.reset_after_fork()
 
@@ -620,7 +621,6 @@ class DebugServer:
         self._open_transport(0)
 
         # 4. Restart the wedge monitor — its thread died with the fork.
-        self._detach_lock = threading.Lock()
         self._detached = False
         if self.watchdog is not None:
             self.watchdog.reset_after_fork()
@@ -628,7 +628,6 @@ class DebugServer:
 
         # 5. Inform the client about the creation of a new debuggee.
         if self.portfile is not None:
-            self.portfile.reset_after_fork()
             self.announce()
         debug_event("server",
                     f"child server re-established on port {self.port}")

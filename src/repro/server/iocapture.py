@@ -24,8 +24,9 @@ from __future__ import annotations
 import io
 import os
 import sys
-import threading
 from typing import Callable, List, Optional, Tuple
+
+from ..util import locks
 
 
 class _TeeStream(io.TextIOBase):
@@ -77,7 +78,7 @@ class OutputCapture:
         self.max_chunks = max_chunks
         self.on_output = on_output
         self._chunks: List[Tuple[str, str]] = []
-        self._lock = threading.Lock()
+        self._lock = locks.Lock()
         self._installed = False
         self._saved_stdout = None
         self._saved_stderr = None
@@ -153,12 +154,7 @@ class OutputCapture:
             self._chunks.clear()
 
     def reset_after_fork(self) -> None:
-        """Child fork handler: inherited buffer belongs to the parent.
-
-        Fresh lock, assignments only: a parent thread may have been
-        mid-write at the fork, leaving the inherited lock held.
-        """
-        self._lock = threading.Lock()
+        """Child fork handler: inherited buffer belongs to the parent."""
         self._chunks = []
 
 
@@ -175,7 +171,7 @@ class InputFeed:
         self._saved_stdin = None
         self._write_fd: Optional[int] = None
         self._reader = None
-        self._lock = threading.Lock()
+        self._lock = locks.Lock()
 
     @property
     def installed(self) -> bool:

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import itertools
 import os
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
+from ..util import locks
 from ..util.errors import BreakpointError
 
 
@@ -81,7 +81,7 @@ class BreakpointStore:
     """Thread-safe container with a fast (file, line) membership test."""
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
+        self._lock = locks.RLock()
         self._ids = itertools.count(1)
         self._by_id: Dict[int, Breakpoint] = {}
         self._by_location: Dict[str, Dict[int, List[Breakpoint]]] = {}

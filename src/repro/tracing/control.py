@@ -22,6 +22,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+from ..util import locks
 from ..util.errors import TraceError
 from ..util.ids import UEId
 
@@ -47,7 +48,7 @@ class ResumeGate:
         self._event = threading.Event()
         self._command: Optional[ResumeCommand] = None
         self._armed = threading.Event()
-        self._lock = threading.Lock()
+        self._lock = locks.Lock()
 
     @property
     def is_parked(self) -> bool:
@@ -106,7 +107,7 @@ class UEController:
     """Registry of gates plus pending-suspend flags for all UEs in-process."""
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
+        self._lock = locks.RLock()
         self._gates: Dict[UEId, ResumeGate] = {}
         self._pending_suspend: set = set()
         self._suspend_all = False
@@ -213,10 +214,8 @@ class UEController:
 
         Only the forking thread survives in the child (paper section 5.1);
         its gate — if any — is rebuilt fresh because a parked parent gate
-        has a waiter that is gone.  Fresh lock, assignments only: a
-        parent thread may have held the inherited one at the fork.
+        has a waiter that is gone.
         """
-        self._lock = threading.RLock()
         self._gates = {surviving: ResumeGate(surviving)}
         self._pending_suspend = set()
         self._suspend_all = False

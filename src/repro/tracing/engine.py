@@ -50,11 +50,12 @@ from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..obs import metrics as obs_metrics
 from ..obs.spans import SPANS, debug_event
+from ..util import locks
 from ..util.errors import TraceError
 from ..util.ids import UEId
 from .breakpoints import BreakpointStore, canonical_file
 from .control import ResumeCommand, UEController
-from .frames import StackCapture, capture_stack
+from .frames import StackCapture, capture_stack, current_frames
 from .linetable import LineTable
 from .stepping import StepMode, StepState
 
@@ -109,7 +110,7 @@ class TraceEngine:
         self.disturb = disturb
         self.park_timeout = park_timeout
 
-        self._lock = threading.RLock()
+        self._lock = locks.RLock()
         self._states: Dict[UEId, StepState] = {}
         self._paused_frames: Dict[UEId, object] = {}
         self._canonical: Dict[str, str] = {}
@@ -384,7 +385,7 @@ class TraceEngine:
     def request_suspend_all(self) -> None:
         self.controller.request_suspend_all()
         self.refresh_quiet()
-        for tid in list(sys._current_frames()):
+        for tid in list(current_frames()):
             if tid != _get_ident():
                 self._inject_into_thread(tid)
 
@@ -398,7 +399,7 @@ class TraceEngine:
     def _inject_into_thread(self, tid: int) -> None:
         """Set local trace functions on a live thread's frames so its next
         line event reaches the engine even if its frames opted out."""
-        frame = sys._current_frames().get(tid)
+        frame = current_frames().get(tid)
         if frame is not None:
             self._inject_frames(frame)
 
@@ -755,10 +756,8 @@ class TraceEngine:
         verdicts are dropped too — the child re-owns its breakpoint store
         as data (Fig. 4), and its caches must be recomputed against its
         own copy (the PROTOCOL.md invalidation-broadcast contract).
-        Fresh lock first: a parent thread may have held it at the fork.
         """
         surviving = UEId.current()
-        self._lock = threading.RLock()
         self._states = {surviving: StepState()}
         self._active_steppers = set()
         self.controller.reset_after_fork(surviving)

@@ -8,7 +8,9 @@ data — so the capture here is the serialization boundary.
 
 from __future__ import annotations
 
+import gc
 import linecache
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional  # noqa: F401 - Dict in wire
 
@@ -74,6 +76,19 @@ class StackCapture:
             breakpoint_id=raw.get("breakpoint_id"),
             watch=raw.get("watch"),
         )
+
+
+def current_frames() -> Dict[int, Any]:
+    """``sys._current_frames()`` with the cyclic GC off: on 3.11 a
+    collection inside it that frees a ``threading.local`` re-takes the
+    thread-list lock it holds, and the process freezes with the GIL."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return sys._current_frames()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def source_line(file: str, line: int) -> str:

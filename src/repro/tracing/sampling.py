@@ -15,14 +15,15 @@ same UE vocabulary as the rest of the debugger, so a client can show
 from __future__ import annotations
 
 import os
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..util import locks
 from ..util.errors import TraceError
 from ..util.ids import UEId
+from .frames import current_frames
 
 #: (file, line-of-function, function-name) — one profile node.
 FrameKey = Tuple[str, int, str]
@@ -55,7 +56,7 @@ class SamplingProfiler:
         self.interval = interval
         self.skip_debugger_threads = skip_debugger_threads
         self.max_depth = max_depth
-        self._lock = threading.Lock()
+        self._lock = locks.Lock()
         self._profiles: Dict[UEId, UEProfile] = {}
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
@@ -122,7 +123,7 @@ class SamplingProfiler:
             skip = self._debugger_tids() if self.skip_debugger_threads \
                 else set()
             skip.add(my_tid)
-            frames = sys._current_frames()
+            frames = current_frames()
             with self._lock:
                 recorded = 0
                 for tid, frame in frames.items():

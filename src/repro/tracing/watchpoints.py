@@ -17,10 +17,10 @@ so the cost is only paid while a watch is actually set.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..util import locks
 from ..util.errors import BreakpointError
 from ..util.ids import UEId
 from ..util.serde import render_value
@@ -65,7 +65,7 @@ class WatchpointStore:
     """Thread-safe set of watch expressions + per-UE value memory."""
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
+        self._lock = locks.RLock()
         self._ids = itertools.count(1)
         self._watches: Dict[int, Watchpoint] = {}
         #: invoked after any add/remove (engine fast-path recompute).
@@ -160,11 +160,6 @@ class WatchpointStore:
         return None
 
     def reset_after_fork(self) -> None:
-        """Child handler: per-UE memories name parent threads.
-
-        Fresh lock first: every traced line takes it while a watch is
-        set, so a parent thread may well have held it at the fork.
-        """
-        self._lock = threading.RLock()
+        """Child handler: per-UE memories name parent threads."""
         for watch in self._watches.values():
             watch.last_values.clear()

@@ -9,9 +9,7 @@ a process or a thread.  Dionea needs stable, comparable identifiers for
 A :class:`UEId` therefore couples a PID with a thread id.  Thread ids are
 only meaningful inside their own process, so equality always compares the
 pair.  Session and view ids are small monotonic tokens generated per
-client; they survive ``fork`` in the parent but are deliberately
-regenerated in the child (paper section 5.3, problem 2: inherited metadata
-describes the parent and must be rewritten).
+client.
 """
 
 from __future__ import annotations
@@ -20,6 +18,8 @@ import itertools
 import os
 import threading
 from dataclasses import dataclass
+
+from . import locks
 
 
 @dataclass(frozen=True, order=True)
@@ -51,33 +51,25 @@ class UEId:
 class IdAllocator:
     """Thread-safe monotonic id allocator with a textual prefix.
 
-    Used for session ids (``s1, s2, ...``) and view ids (``v1, v2, ...``).
-    A fresh allocator is installed in forked children so child ids never
-    collide with ids the parent already handed out *within the child's own
-    tables* — the client namespaces ids per connection, so global
-    uniqueness is not required.
+    Used by the client for session ids (``s1, s2, ...``) and view ids
+    (``v1, v2, ...``); ids are unique within one client.
     """
 
     def __init__(self, prefix: str):
         self._prefix = prefix
         self._counter = itertools.count(1)
-        self._lock = threading.Lock()
+        self._lock = locks.Lock()
 
     def next(self) -> str:
         with self._lock:
             return f"{self._prefix}{next(self._counter)}"
 
-    def reset(self) -> None:
-        """Restart numbering (called from the child-side fork handler)."""
-        with self._lock:
-            self._counter = itertools.count(1)
-
 
 def untrace_current_thread() -> None:
     """Opt the calling thread out of interpreter tracing.
 
-    Debugger infrastructure threads (listener, session reader, event
-    dispatcher, port-file watcher) are not debuggee UEs: they must never
+    Debugger infrastructure threads (reactor loop, dispatcher, watchdog,
+    sampling profiler) are not debuggee UEs: they must never
     park at a breakpoint or a suspend-all sweep, and tracing them would
     only add overhead.  Their frames inside *our* packages are already
     skipped by the engine, but the stdlib frames they call into

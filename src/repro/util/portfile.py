@@ -20,11 +20,11 @@ import fcntl
 import json
 import os
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from . import locks
 from .errors import RendezvousError
 
 
@@ -114,7 +114,7 @@ class PortFile:
     #: Serialises every append and rewrite among the threads of this
     #: process, whichever instance they go through: the sidecar lock of
     #: :meth:`_flocked` excludes other processes only.
-    _write_lock = threading.Lock()
+    _write_lock = locks.Lock()
 
     def __init__(self, path: str):
         self.path = path
@@ -147,11 +147,6 @@ class PortFile:
             yield
         finally:
             os.close(lock_fd)  # closing releases the lock
-
-    def reset_after_fork(self) -> None:
-        """Child fork handler: a parent thread may have held the write
-        lock at the fork; the child's copy would never be released."""
-        PortFile._write_lock = threading.Lock()
 
     # -- writer side (debug server, child fork handler) --------------------
 
@@ -304,11 +299,9 @@ class PortFileWatcher:
     #: this layer; :meth:`DebugClient.watch_portfile` turns it on.
     gc_interval: float = 0.0
     _seen: Dict[int, PortRecord] = field(default_factory=dict)
-    _thread: Optional[threading.Thread] = None
-    _stop: threading.Event = field(default_factory=threading.Event)
     _next_gc: float = 0.0
-    #: external timer source (``scheduler(delay, fn)``) when the poll is
-    #: driven off a reactor timer wheel instead of a dedicated thread
+    #: the timer source (``scheduler(delay, fn)``) driving the poll;
+    #: None while stopped
     _scheduler: Optional[Callable[[float, Callable[[], None]], object]] = None
 
     def poll_once(self) -> List[PortRecord]:
@@ -361,58 +354,32 @@ class PortFileWatcher:
                     self._seen.pop(reaped.pid, None)
         return fresh
 
-    def start(self, scheduler: Optional[
-            Callable[[float, Callable[[], None]], object]] = None) -> None:
-        """Begin polling.
-
-        Without *scheduler*, a dedicated daemon thread polls (the
-        standalone mode).  With one — any ``scheduler(delay, fn)`` that
-        runs ``fn`` after *delay* seconds, e.g. the client reactor's
-        timer wheel — the watcher owns NO thread: each tick polls once
-        and re-schedules itself, so fleet-scale clients pay zero threads
-        for auto-attach.
+    def start(self, scheduler: Callable[[float, Callable[[], None]],
+                                        object]) -> None:
+        """Begin polling on *scheduler*: any ``scheduler(delay, fn)``
+        that runs ``fn`` after *delay* seconds, e.g. the client
+        reactor's timer wheel.  The watcher owns no thread: each tick
+        polls once and re-schedules itself, so fleet-scale clients pay
+        zero threads for auto-attach.
         """
-        if self._thread is not None or self._scheduler is not None:
+        if self._scheduler is not None:
             raise RendezvousError("watcher already started")
-        self._stop.clear()
-        if scheduler is not None:
-            self._scheduler = scheduler
-            scheduler(self.poll_interval, self._scheduled_tick)
-            return
-        self._thread = threading.Thread(
-            target=self._run, name="dionea-portfile-watcher", daemon=True)
-        self._thread.start()
+        self._scheduler = scheduler
+        scheduler(self.poll_interval, self._scheduled_tick)
 
     def _scheduled_tick(self) -> None:
-        """One reactor-driven poll; re-arms itself until stopped."""
-        if self._stop.is_set():
+        """One scheduled poll; re-arms itself until stopped."""
+        if self._scheduler is None:
             return
         try:
             self.poll_once()
         except RendezvousError:
-            pass  # torn read: heals next pass, like the thread mode
+            pass  # torn read: heals next pass
         scheduler = self._scheduler
-        if scheduler is not None and not self._stop.is_set():
+        if scheduler is not None:
             scheduler(self.poll_interval, self._scheduled_tick)
 
-    def _run(self) -> None:
-        from .ids import untrace_current_thread
-        untrace_current_thread()  # infra thread: never a debuggee UE
-        while not self._stop.is_set():
-            try:
-                self.poll_once()
-            except RendezvousError:
-                # A corrupt record must not kill the watcher: skip this
-                # poll; the writer only ever appends whole lines, so a
-                # torn read heals on the next pass.
-                pass
-            self._stop.wait(self.poll_interval)
-
-    def stop(self, timeout: float = 2.0) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout)
-            self._thread = None
+    def stop(self) -> None:
         self._scheduler = None
 
     def wait_for_pid(self, pid: int, timeout: float = 5.0) -> PortRecord:

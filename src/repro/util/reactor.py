@@ -53,6 +53,7 @@ from time import perf_counter as _perf_counter
 from typing import Any, Callable, List, Optional
 
 from ..obs import metrics as obs_metrics
+from . import locks
 from .errors import FramingError
 from .framing import RecvBuffer, SendBuffer, encode_frame
 
@@ -101,7 +102,7 @@ class Channel:
         self.recvbuf = recvbuf
         self.sendbuf = sendbuf
         #: guards sendbuf; a plain Lock (no Python-level frames to trace)
-        self.lock = threading.Lock()
+        self.lock = locks.Lock()
         self.closed = False
         self.role: Optional[str] = None
         #: loop-thread-only: is EVENT_WRITE currently registered?
@@ -134,7 +135,7 @@ class Reactor:
         self._channels: List[Channel] = []
         #: non-channel readers (the server's accept socket)
         self._readers: List[Any] = []
-        self._lock = threading.Lock()
+        self._lock = locks.Lock()
         self._dispatch_queue: "queue.SimpleQueue[Optional[Callable]]" = \
             queue.SimpleQueue()
         self._stopping = False

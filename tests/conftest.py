@@ -13,6 +13,7 @@ import signal
 import sys
 import threading
 import time
+import traceback
 
 import pytest
 
@@ -147,3 +148,69 @@ def wait_until(predicate, timeout: float = 5.0, interval: float = 0.01,
 @pytest.fixture
 def waiter():
     return wait_until
+
+
+def wait_child(pid, timeout=15.0):
+    """The exit code of child *pid*; a child still running after
+    *timeout* seconds is killed and the test fails."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done == pid:
+            return os.waitstatus_to_exitcode(status)
+        time.sleep(0.01)
+    os.kill(pid, 9)
+    os.waitpid(pid, 0)
+    raise AssertionError(f"child {pid} did not exit in {timeout}s")
+
+
+def fork_child(child) -> int:
+    """Fork; the child runs *child* and exits 0, or 1 if it raised.
+    Returns the child's pid in the parent."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            child()
+            code = 0
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+    return pid
+
+
+def fork_while_held(lock, child, timeout: float = 10.0, hold: float = 10.0,
+                    forked=None) -> bool:
+    """Fork while a second thread holds *lock* (a lock or a context
+    manager), as a parent thread mid-update would at any fork.
+
+    The child runs *child* and must exit 0 within *timeout*; a child
+    still running then is killed and the test fails.  The holder
+    releases when *forked* (an Event; by default set once ``os.fork()``
+    returns in the parent) is set, or after *hold* seconds, so a fork
+    path that itself waits on *lock* cannot wedge the parent.  Returns
+    True when the holder released early.  Never reinitialise locks in
+    this (the pytest) process: only a child may.
+    """
+    if forked is None:
+        forked = threading.Event()
+    held, early = threading.Event(), []
+
+    def hold_lock():
+        sys.settrace(None)  # a traced holder could wait on its own lock
+        with lock:
+            held.set()
+            early.append(not forked.wait(hold))
+
+    holder = threading.Thread(target=hold_lock, name="lock-holder")
+    holder.start()
+    try:
+        assert held.wait(5), "the holder never took the lock"
+        pid = fork_child(child)
+        forked.set()
+        assert wait_child(pid, timeout) == 0
+    finally:
+        forked.set()
+        holder.join(hold + 5)
+    return early == [True]

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro.client import DebugClient
+from tests.conftest import wait_child
 
 pytestmark = pytest.mark.forks
 
@@ -26,18 +27,6 @@ def child_compute(n):
 
 
 CHILD_BP_LINE = child_compute.__code__.co_firstlineno + 3
-
-
-def wait_child(pid, timeout=15.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done == pid:
-            return os.waitstatus_to_exitcode(status)
-        time.sleep(0.01)
-    os.kill(pid, 9)
-    os.waitpid(pid, 0)
-    raise AssertionError(f"child {pid} did not exit in {timeout}s")
 
 
 @pytest.fixture

@@ -318,6 +318,46 @@ class TestSecondClient:
             server.close()
 
 
+    def test_current_token_supersedes_an_open_channel(self, waiter):
+        """A restarted client can dial before the server has read its
+        old channel's EOF.  Presenting the current token, it is the
+        same client: the new channel takes over, the old one closes,
+        no loss grace starts and the parked UE stays parked."""
+        server = DebugServer(program="t", park_timeout=30.0,
+                             client_loss_grace=5.0)
+        server.start()
+        try:
+            client = DebugClient()
+            session = client.attach("127.0.0.1", server.port)
+            session.request("set_break", {"file": SRC,
+                                          "line": LOOP_BP_LINE,
+                                          "temporary": True})
+            box = {}
+            thread = threading.Thread(
+                target=lambda: box.setdefault("r", traced_loop(2)))
+            thread.start()
+            client.wait_for_stop(timeout=10)[0].wait_stopped(10)
+
+            successor = DebugClient()
+            reclaimed = successor.attach(
+                "127.0.0.1", server.port,
+                resume_token=session.session_token)
+            assert reclaimed.resumed
+            waiter(lambda: session.lost, message="old channel closed")
+            time.sleep(0.2)  # window for any spurious release/grace
+            assert thread.is_alive(), "the takeover released the UE"
+            assert not server.grace_pending
+            view = successor.wait_for_stop(timeout=10)[0]
+            view.wait_stopped(10)
+            view.cont()
+            thread.join(10)
+            assert box.get("r") == 2
+            successor.close()
+            client.close()
+        finally:
+            server.close()
+
+
 class TestStopReplayRace:
     def test_stop_replayed_at_hello_becomes_a_view(self, waiter):
         """Regression: the hello-time stop replay arrives on the reader

@@ -5,8 +5,11 @@ the client side with an auto-releaser thread that answers every stop
 with a queued resume action.
 """
 
+import gc
 import os
 import threading
+import time
+import types
 
 import pytest
 
@@ -14,6 +17,7 @@ from repro.tracing.control import ResumeCommand
 from repro.tracing.engine import TraceEngine
 from repro.util.errors import TraceError
 from repro.util.ids import UEId
+from tests.conftest import fork_child, wait_child
 
 SRC = os.path.abspath(__file__)
 
@@ -219,6 +223,36 @@ class TestSuspend:
             engine.uninstall()
         assert stops and stops[0][1].reason == "suspend"
         assert stops[0][0].tid == worker.ident
+
+    @pytest.mark.forks
+    def test_suspend_survives_a_collection_freeing_a_thread_local(self):
+        # On 3.11 a collection inside sys._current_frames() runs under
+        # the interpreter's thread-list lock; freeing a threading.local
+        # there takes that lock again, and the process freezes with the
+        # GIL held.  Other threads keep making such garbage while the
+        # suspend path snapshots frames; the child must finish in time.
+        def child():
+            engine = TraceEngine(park_timeout=5.0)
+            stop = threading.Event()
+
+            def garbage():  # a fresh frame for every snapshot to wrap
+                node = types.SimpleNamespace(local=threading.local())
+                node.cycle = node
+
+            def churn():
+                while not stop.is_set():
+                    garbage()
+
+            threads = [threading.Thread(target=churn) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            gc.set_threshold(5)
+            deadline = time.monotonic() + 2.0
+            while time.monotonic() < deadline:
+                engine.request_suspend(UEId(os.getpid(), threads[0].ident))
+            stop.set()
+
+        assert wait_child(fork_child(child), timeout=10.0) == 0
 
     def test_event_count_grows_only_when_enabled(self):
         engine = TraceEngine()

@@ -45,12 +45,6 @@ class TestIdAllocator:
         alloc = IdAllocator("s")
         assert [alloc.next() for _ in range(3)] == ["s1", "s2", "s3"]
 
-    def test_reset_restarts(self):
-        alloc = IdAllocator("v")
-        alloc.next()
-        alloc.reset()
-        assert alloc.next() == "v1"
-
     def test_thread_safety_no_duplicates(self):
         alloc = IdAllocator("x")
         out = []

@@ -1,5 +1,5 @@
-"""Unit tests: the hot-path lint's clock-pair, reactor and fork-phase
-rules (tools/lint_hotpath)."""
+"""Unit tests: the hot-path lint's clock-pair, reactor, fork-phase and
+bare-lock rules (tools/lint_hotpath)."""
 
 import importlib.util
 import os
@@ -162,6 +162,51 @@ class TestForkPhaseRule:
         assert set(lint.FORK_CHILD_FUNCTIONS) <= {
             name for names in lint.FORK_PHASE_MODULES.values()
             for name in names}
+
+
+class TestBareLockRule:
+    @staticmethod
+    def tree(tmp_path, files):
+        for rel, source in files.items():
+            path = tmp_path / "src" / "repro" / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source)
+        return str(tmp_path)
+
+    def test_bare_lock_in_a_debugger_package_is_flagged(self, lint,
+                                                        tmp_path):
+        root = self.tree(tmp_path, {"server/state.py": (
+            "import threading\n"
+            "class State:\n"
+            "    def __init__(self):\n"
+            "        self._lock = threading.Lock()\n")})
+        assert lint.scan_bare_locks(root) == [
+            os.path.join("src", "repro", "server", "state.py")
+            + ":4: threading.Lock()"]
+
+    def test_imported_rlock_is_flagged(self, lint, tmp_path):
+        root = self.tree(tmp_path, {"obs/deep/ring.py": (
+            "from threading import Event, RLock\n"
+            "LOCK = RLock()\n")})
+        assert lint.scan_bare_locks(root) == [
+            os.path.join("src", "repro", "obs", "deep", "ring.py")
+            + ":1: from threading import RLock"]
+
+    def test_factory_module_is_exempt(self, lint, tmp_path):
+        root = self.tree(tmp_path, {"util/locks.py": (
+            "import threading\n"
+            "def Lock():\n"
+            "    return threading.Lock()\n")})
+        assert lint.scan_bare_locks(root) == []
+
+    def test_debuggee_substrate_is_not_scanned(self, lint, tmp_path):
+        root = self.tree(tmp_path, {"mp/pipes.py": (
+            "import threading\n"
+            "_open_lock = threading.Lock()\n")})
+        assert lint.scan_bare_locks(root) == []
+
+    def test_this_tree_has_no_bare_lock(self, lint):
+        assert lint.scan_bare_locks(REPO_ROOT) == []
 
 
 class TestWholeRepo:

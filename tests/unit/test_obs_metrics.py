@@ -11,6 +11,8 @@ from repro.obs.metrics import (
     labeled,
     set_enabled,
 )
+from repro.util import locks
+from tests.conftest import fork_while_held
 
 
 class TestLabels:
@@ -246,17 +248,17 @@ class TestForkAwareness:
         import os
         assert snap["labels"]["pid"] == os.getpid()
 
+    @pytest.mark.forks
     def test_reset_after_fork_survives_a_held_lock(self):
         # A parent thread mid-snapshot at the fork moment leaves the
-        # inherited lock held forever in the single-threaded child; the
-        # reset must replace the lock, never acquire it.
+        # lock held in the single-threaded child; phase C's first step
+        # unlocks it in place before the reset.
         reg = MetricsRegistry()
-        inherited = reg._lock
-        inherited.acquire()
-        try:
+
+        def child():
+            locks.reinit_after_fork()
             reg.reset_after_fork()
-        finally:
-            inherited.release()
-        assert reg._lock is not inherited
-        reg.inc("child.only")
-        assert reg.snapshot()["counters"] == {"child.only": 1}
+            reg.inc("child.only")
+            assert reg.snapshot()["counters"] == {"child.only": 1}
+
+        fork_while_held(reg._lock, child)

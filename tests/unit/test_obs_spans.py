@@ -9,6 +9,8 @@ import pytest
 from repro import obs
 from repro.obs.blackbox import FLUSH_INTERVAL
 from repro.obs.spans import SPANS, SpanRecorder
+from repro.util import locks
+from tests.conftest import fork_child, fork_while_held, wait_child
 
 
 class TestRecording:
@@ -81,21 +83,41 @@ class TestReset:
             pass
         assert [s["name"] for s in rec.snapshot()] == ["child-era"]
 
+    @pytest.mark.forks
     def test_reset_after_fork_survives_a_held_lock(self):
         # The fork may land while a parent thread is mid-record; the
-        # child inherits that held lock and is single-threaded, so the
-        # reset must replace it, never acquire it.
+        # child inherits that held lock and is single-threaded, so phase
+        # C's first step unlocks it in place before the reset.
         rec = SpanRecorder(capacity=8)
-        inherited = rec._lock
-        inherited.acquire()
-        try:
-            rec.reset_after_fork()   # would deadlock on the old lock
-        finally:
-            inherited.release()
-        assert rec._lock is not inherited
-        with rec.span("child-era"):  # fresh lock must be usable
-            pass
-        assert [s["name"] for s in rec.snapshot()] == ["child-era"]
+
+        def child():
+            locks.reinit_after_fork()
+            rec.reset_after_fork()
+            with rec.span("child-era"):
+                pass
+            assert [s["name"] for s in rec.snapshot()] == ["child-era"]
+
+        fork_while_held(rec._lock, child)
+
+    @pytest.mark.forks
+    def test_child_of_a_full_ring_reads_only_its_own_records(self):
+        # The reset leaves the inherited slots in place: a reader must
+        # see only what the child recorded, and no loss.
+        rec = SpanRecorder(capacity=16)
+        for i in range(40):
+            rec.instant("parent", f"parent line {i}")
+
+        def child():
+            rec.reset_after_fork()
+            for name in ("one", "two", "three"):
+                with rec.span(name):
+                    pass
+            cursor, dropped, records = rec.drain_since(0)
+            assert [r["name"] for r in records] == ["one", "two", "three"]
+            assert {r["pid"] for r in records} == {os.getpid()}
+            assert (cursor, dropped, rec.dropped) == (3, 0, 0)
+
+        assert wait_child(fork_child(child), timeout=10.0) == 0
 
 
 class TestFlushHook:

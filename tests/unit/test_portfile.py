@@ -14,6 +14,7 @@ from repro.util.portfile import (
     PortRecord,
     default_portfile_path,
 )
+from repro.util.reactor import Reactor
 
 
 def record(pid=100, parent=1, port=5000):
@@ -79,6 +80,14 @@ class TestPortFile:
         assert len(set(pids)) == 150
 
 
+@pytest.fixture
+def scheduler():
+    """A reactor's timer wheel, the scheduler a client watches with."""
+    reactor = Reactor(name="test-watcher")
+    yield reactor.call_later
+    reactor.close()
+
+
 class TestPortFileWatcher:
     def test_poll_once_sees_new_records_exactly_once(self, tmp_path):
         pf = PortFile(str(tmp_path / "ports"))
@@ -91,12 +100,12 @@ class TestPortFileWatcher:
         assert [r.pid for r in watcher.poll_once()] == [12]
         assert [r.pid for r in seen] == [11, 12]
 
-    def test_background_thread_delivers(self, tmp_path, waiter):
+    def test_background_thread_delivers(self, tmp_path, waiter, scheduler):
         pf = PortFile(str(tmp_path / "ports"))
         seen = []
         watcher = PortFileWatcher(portfile=pf, on_record=seen.append,
                                   poll_interval=0.005)
-        watcher.start()
+        watcher.start(scheduler)
         try:
             pf.announce(record(pid=77))
             waiter(lambda: len(seen) == 1, message="watcher callback")
@@ -104,13 +113,13 @@ class TestPortFileWatcher:
         finally:
             watcher.stop()
 
-    def test_double_start_rejected(self, tmp_path):
+    def test_double_start_rejected(self, tmp_path, scheduler):
         watcher = PortFileWatcher(portfile=PortFile(str(tmp_path / "p")),
                                   on_record=lambda r: None)
-        watcher.start()
+        watcher.start(scheduler)
         try:
             with pytest.raises(RendezvousError):
-                watcher.start()
+                watcher.start(scheduler)
         finally:
             watcher.stop()
 
@@ -134,12 +143,13 @@ class TestPortFileWatcher:
         with pytest.raises(RendezvousError):
             watcher.wait_for_pid(999, timeout=0.1)
 
-    def test_corrupt_line_does_not_kill_watcher(self, tmp_path, waiter):
+    def test_corrupt_line_does_not_kill_watcher(self, tmp_path, waiter,
+                                                scheduler):
         pf = PortFile(str(tmp_path / "ports"))
         seen = []
         watcher = PortFileWatcher(portfile=pf, on_record=seen.append,
                                   poll_interval=0.005)
-        watcher.start()
+        watcher.start(scheduler)
         try:
             with open(pf.path, "a", encoding="utf-8") as fh:
                 fh.write("garbage line\n")

@@ -6,6 +6,8 @@ import threading
 import pytest
 
 from repro.obs.spans import SpanRecorder, format_instant, is_instant
+from repro.util import locks
+from tests.conftest import fork_while_held
 
 
 def messages(rec):
@@ -88,20 +90,20 @@ class TestRingSemantics:
         rec.reset_after_fork()
         assert rec.snapshot() == []
 
+    @pytest.mark.forks
     def test_reset_after_fork_survives_a_held_lock(self):
-        # A parent thread mid-emit at the fork moment leaves the
-        # inherited lock held forever in the single-threaded child; the
-        # reset must replace the lock, never acquire it.
+        # A parent thread mid-emit at the fork moment leaves the lock
+        # held in the single-threaded child; phase C's first step
+        # unlocks it in place before the reset.
         rec = SpanRecorder(capacity=4)
-        inherited = rec._lock
-        inherited.acquire()
-        try:
+
+        def child():
+            locks.reinit_after_fork()
             rec.reset_after_fork()
-        finally:
-            inherited.release()
-        assert rec._lock is not inherited
-        rec.instant("c", "child record")
-        assert messages(rec) == ["child record"]
+            rec.instant("c", "child record")
+            assert messages(rec) == ["child record"]
+
+        fork_while_held(rec._lock, child)
 
 
 class TestConcurrency:

@@ -49,7 +49,7 @@ class TestRegistration:
         token = manage_lock(registry, threading.Lock())
         import gc
         gc.collect()
-        assert len(registry) == 1  # _thread.lock is not weak-referenceable
+        assert len(registry) == 1  # the entry's callbacks keep the lock
         registry.unregister(token)
         assert len(registry) == 0
 

@@ -164,10 +164,11 @@ FORK_PHASE_BANNED_ATTRS = {"sendall", "send", "recv", "recv_into",
 FORK_PHASE_BANNED_NAMES = {"sleep"}
 #: Phase C runs in a child whose only thread is the forker: a lock any
 #: other parent thread held at the fork is copied held, and nothing
-#: will ever release it.  Phase C bodies, and every child-side reset
-#: under src/repro (found by name), therefore take no lock at all: no
-#: ``.acquire(...)`` and no ``with`` on a name containing "lock".  They
-#: replace the lock (or ``_at_fork_reinit()`` it) instead.
+#: will ever release it.  Phase C's first step reinitialises every
+#: factory lock (see the bare-lock rule below), but the registry runs
+#: other handlers before it, so phase C bodies and every child-side
+#: reset under src/repro (found by name) take no lock at all: no
+#: ``.acquire(...)`` and no ``with`` on a name containing "lock".
 FORK_CHILD_FUNCTIONS = ("handle_child_at_fork", "run_child")
 FORK_RESET_NAMES = ("reset_after_fork", "reinit_after_fork",
                     "close_after_fork")
@@ -276,6 +277,57 @@ def scan_child_resets(root: str) -> list:
     return problems
 
 
+#: Every lock of the debugger's own packages comes from the fork-safe
+#: factory, repro.util.locks, whose set phase C reinitialises in place
+#: after fork(2).  A bare ``threading.Lock()``/``RLock()`` there is a
+#: lock phase C would miss: a child whose parent thread held it at the
+#: fork waits on it forever.  The debuggee's substrate (mp, stm, ...)
+#: is not scanned; its locks go through the §5.3 ownership sweep.
+LOCK_FACTORY_PACKAGES = ("core", "server", "client", "tracing", "obs",
+                         "forkhooks", "util")
+LOCK_FACTORY_MODULE = os.path.join("src", "repro", "util", "locks.py")
+BARE_LOCK_NAMES = {"Lock", "RLock"}
+
+
+def find_bare_locks(path: str) -> list:
+    """(lineno, what) for each ``threading.Lock()``/``RLock()`` call and
+    each ``from threading import Lock``/``RLock`` in the file at *path*."""
+    with open(path, "r", encoding="utf-8") as fh:
+        source = fh.read()
+    tree = ast.parse(source, filename=path)
+    hits = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in BARE_LOCK_NAMES
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "threading"):
+            hits.append((node.lineno, f"threading.{node.func.attr}()"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "threading":
+            hits += [(node.lineno, f"from threading import {alias.name}")
+                     for alias in node.names
+                     if alias.name in BARE_LOCK_NAMES]
+    return sorted(hits)
+
+
+def scan_bare_locks(root: str) -> list:
+    """``path:line: what`` for every bare lock in the debugger's
+    packages outside the factory module."""
+    problems = []
+    for package in LOCK_FACTORY_PACKAGES:
+        package_dir = os.path.join(root, "src", "repro", package)
+        for dirpath, dirnames, filenames in os.walk(package_dir):
+            dirnames.sort()
+            for filename in sorted(filenames):
+                path = os.path.join(dirpath, filename)
+                rel = os.path.relpath(path, root)
+                if not filename.endswith(".py") or rel == LOCK_FACTORY_MODULE:
+                    continue
+                for lineno, what in find_bare_locks(path):
+                    problems.append(f"{rel}:{lineno}: {what}")
+    return problems
+
+
 #: Timestamp discipline for the causal-timeline modules: cross-process
 #: ordering is computed from monotonic stamps, wall clocks are carried
 #: only as *paired* anchors for display alignment (NTP slew or a clock
@@ -378,8 +430,13 @@ def main(argv: list) -> int:
                 f"memory and the event ring only)")
     for problem in scan_child_resets(root):
         problems.append(
-            f"{problem} (the child has one thread: replace an inherited "
-            f"lock before touching its state, never wait on it)")
+            f"{problem} (the child has one thread: phase C's first step "
+            f"reinitialises every factory lock; never wait on a lock "
+            f"in a child-side reset)")
+    for problem in scan_bare_locks(root):
+        problems.append(
+            f"{problem} (debugger locks come from repro.util.locks, "
+            f"which phase C reinitialises after fork)")
     for module in CLOCK_PAIR_MODULES:
         clock_path = os.path.join(root, module)
         if not os.path.isfile(clock_path):
@@ -398,8 +455,8 @@ def main(argv: list) -> int:
           f"logging-free; {FASTPATH_FUNCTION} is obs-free; the reactor "
           f"and its server handlers have no blocking calls; fork-phase "
           f"bodies have no blocking calls; phase C and the child-side "
-          f"resets take no lock; timeline modules pair wall with "
-          f"monotonic)")
+          f"resets take no lock; debugger locks come from the factory; "
+          f"timeline modules pair wall with monotonic)")
     return 0
 
 
