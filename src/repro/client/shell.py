@@ -157,8 +157,9 @@ class Shell:
             if bp["condition"]:
                 flags.append(f"if {bp['condition']}")
             suffix = f" ({', '.join(flags)})" if flags else ""
+            served = f"  served={bp['served']}" if "served" in bp else ""
             out.append(f"{bp['id']:3d}  {place}  hits={bp['hit_count']}"
-                       f"{suffix}")
+                       f"{served}{suffix}")
         return "\n".join(out)
 
     # -- execution control ---------------------------------------------------------------

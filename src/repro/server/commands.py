@@ -168,7 +168,12 @@ def cmd_enable_break(server: "DebugServer", args: Dict[str, Any]) -> Any:
 
 @command("breaks")
 def cmd_breaks(server: "DebugServer", args: Dict[str, Any]) -> Any:
-    return server.engine.breakpoints.snapshot_state()
+    """The breakpoint table; ``served`` says how each one is served:
+    ``"code"`` (a patched line, tracing.codebp) or ``"trace"`` (the
+    settrace path, whose armed cost is why it is worth showing)."""
+    engine = server.engine
+    return [dict(row, served=engine.served(row))
+            for row in engine.breakpoints.snapshot_state()]
 
 
 # -- watchpoints --------------------------------------------------------------------

@@ -194,6 +194,12 @@ class BreakpointStore:
         with self._lock:
             return set(self._by_location)
 
+    def locations(self) -> Set[Tuple[str, int]]:
+        """Every (canonical file, line) carrying a line breakpoint."""
+        with self._lock:
+            return {(file, line) for file, lines in self._by_location.items()
+                    for line in lines}
+
     def lines_for_file(self, file: str) -> frozenset:
         """Every line in *file* (canonical) carrying a breakpoint.
 

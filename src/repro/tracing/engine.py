@@ -20,6 +20,12 @@ Responsibilities:
     :class:`~repro.tracing.linetable.LineTable` probe answers "can this
     code object ever hit one?" in a single dict lookup, declining local
     tracing for everything else — one probe per call, zero per line;
+  - **code-object breakpoints** (:mod:`repro.tracing.codebp`): a line
+    breakpoint the patcher can serve is compiled into the function that
+    holds it, and only that line's executions call :meth:`_code_hit`.
+    A patched breakpoint counts as quiet, so while every breakpoint is
+    patched the main thread stays demoted; the rest stay on the two
+    layers above;
 
 * stop UEs at breakpoints, step targets, asynchronous suspend requests
   and disturb-mode birth events, parking only the stopping thread
@@ -53,6 +59,7 @@ from ..obs.spans import SPANS, debug_event
 from ..util import locks
 from ..util.errors import TraceError
 from ..util.ids import UEId
+from . import codebp
 from .breakpoints import BreakpointStore, canonical_file
 from .control import ResumeCommand, UEController
 from .frames import StackCapture, capture_stack, current_frames
@@ -139,6 +146,17 @@ class TraceEngine:
         #: per-code-object breakpoint relevance (the fast path's probe)
         self.linetable = LineTable(self.breakpoints)
         self._lt_probe = self.linetable.probe
+        #: code-object breakpoints: patched lines call _code_hit instead
+        #: of needing a trace function (off with the fast path)
+        self.codebp = codebp.CodePatcher(self, self._fastpath)
+        #: thread ident -> (id(frame), line) of the last line event
+        #: _local_dispatch handled while patches exist, so the patched
+        #: call right after it does not stop a second time
+        self._handled: Dict[int, Tuple[int, int]] = {}
+        #: thread idents inside the engine's stop work (condition and
+        #: watch evaluation, stack capture, parking): user code run there
+        #: must not reach a breakpoint, as under a trace function
+        self._busy: Set[int] = set()
 
         #: armed/disarmed hook lifecycle state: the main thread may drop
         #: its trace hook while quiet and is re-armed via REARM_SIGNAL.
@@ -161,6 +179,7 @@ class TraceEngine:
         from .watchpoints import WatchpointStore
         self.watchpoints = WatchpointStore()
         self.watchpoints.on_change = self.refresh_quiet
+        self.codebp.sync()
         #: events the engine processed; read by the overhead benchmarks.
         self.event_count = 0
         #: armed-mode calls the LineTable probe declined (plain int, read
@@ -193,6 +212,8 @@ class TraceEngine:
                 raise TraceError("trace engine already installed")
             self._installed = True
         self._install_hooks()
+        self.codebp.sync()
+        self.refresh_quiet()
         # Expose the hot-path counters as callback gauges: the fast path
         # stays untouched (§7's overhead band); the registry reads the
         # plain ints only at snapshot time.
@@ -212,6 +233,8 @@ class TraceEngine:
                 return
             self._installed = False
         self._uninstall_hooks()
+        self.codebp.restore_all()
+        self.refresh_quiet()
         for gauge in ("trace.events", "trace.fastpath_hits",
                       "trace.local_installs"):
             obs_metrics.REGISTRY.unregister_gauge(gauge)
@@ -235,7 +258,10 @@ class TraceEngine:
                        and not self._active_steppers
                        and not self.controller.has_pending
                        and (disturb is None or not disturb.enabled))
-        quiet = other_quiet and self.breakpoints.is_empty
+        # A patched breakpoint needs no trace function: while every
+        # breakpoint is patched the engine is quiet (tracing.codebp).
+        quiet = other_quiet and (self.breakpoints.is_empty
+                                 or self.codebp.serves_all)
         self._code_fastpath_ok = self._fastpath and other_quiet
         was_quiet = self._quiet
         self._quiet = quiet
@@ -255,7 +281,16 @@ class TraceEngine:
         its copy of the store drops its own LineTable verdicts.
         """
         self.linetable.invalidate()
+        self.codebp.sync()
         self.refresh_quiet()
+
+    def served(self, row: dict) -> str:
+        """``"code"`` for a patched breakpoint, else ``"trace"`` (a
+        ``breaks`` row, as :meth:`BreakpointStore.snapshot_state` gives
+        it)."""
+        if row.get("function") is not None:
+            return codebp.TRACE
+        return self.codebp.served(row["file"], row["line"])
 
     def set_exception_breaks(self, enabled: bool,
                              only: Optional[list] = None) -> None:
@@ -342,9 +377,12 @@ class TraceEngine:
             # A global hook only fires at the next *call* event.  A
             # pending asynchronous suspend is aimed at lines too, so arm
             # the interrupted stack the same way request_suspend() arms
-            # other threads.  Plain breakpoint arming deliberately does
-            # NOT inject: a breakpoint set mid-frame fires at the next
-            # call event, exactly as it always has.
+            # other threads.  Plain breakpoint arming does NOT inject: a
+            # trace-served breakpoint set mid-frame fires at the next
+            # call event, as it always has.  A patched breakpoint re-arms
+            # only for frames still running the code it replaced, and
+            # the patcher injected those when it swapped the code
+            # (tracing.codebp).
             if self.controller.has_pending and frame is not None:
                 self._inject_frames(frame)
         prev = self._prev_handler
@@ -602,8 +640,10 @@ class TraceEngine:
 
         if event == "line":
             if self._suspend_due(ue, frame):
+                self._line_handled(ue.tid, frame)
                 self._pause(ue, frame, reason="suspend")
             elif state.should_stop_on_line(frame):
+                self._line_handled(ue.tid, frame)
                 self._pause(ue, frame, reason="step")
             elif (frame.f_trace is self._local_fn
                   and (self._quiet
@@ -618,28 +658,43 @@ class TraceEngine:
                 frame.f_trace = None
                 return None
             else:
-                t0 = _perf_counter()
-                bp = self.breakpoints.effective(
-                    self._canonical_file(frame.f_code.co_filename),
-                    frame.f_lineno, frame.f_globals, frame.f_locals)
-                # Per-line dispatch latency while features are live (the
-                # no-feature fast path never reaches here, so the §7
-                # band pays nothing for this observe).
-                obs_metrics.observe("trace.line_dispatch_seconds",
-                                    _perf_counter() - t0)
+                self._line_handled(ue.tid, frame)
+                hit = None
+                # Conditions and watch expressions run user code: keep
+                # patched lines it reaches quiet (see _code_hit).
+                self._busy.add(ue.tid)
+                try:
+                    t0 = _perf_counter()
+                    bp = self.breakpoints.effective(
+                        self._canonical_file(frame.f_code.co_filename),
+                        frame.f_lineno, frame.f_globals, frame.f_locals)
+                    # Per-line dispatch latency while features are live
+                    # (the no-feature fast path never reaches here, so
+                    # the §7 band pays nothing for this observe).
+                    obs_metrics.observe("trace.line_dispatch_seconds",
+                                        _perf_counter() - t0)
+                    if bp is None and not self.watchpoints.is_empty:
+                        hit = self.watchpoints.evaluate(ue, frame)
+                finally:
+                    self._busy.discard(ue.tid)
                 if bp is not None:
                     self._pause(ue, frame, reason="breakpoint",
                                 breakpoint_id=bp.id)
-                elif not self.watchpoints.is_empty:
-                    hit = self.watchpoints.evaluate(ue, frame)
-                    if hit is not None:
-                        self._pause(ue, frame, reason="watch",
-                                    watch=hit.to_wire())
+                elif hit is not None:
+                    self._pause(ue, frame, reason="watch",
+                                watch=hit.to_wire())
         elif event == "return":
             was_suspend = state.mode is StepMode.SUSPEND
             if state.should_stop_on_return(frame):
                 self._pause(ue, frame,
                             reason="suspend" if was_suspend else "return")
+            patcher = self.codebp
+            if patcher.active:
+                # A dead frame's id may be reused by the next frame.
+                self._handled.pop(ue.tid, None)
+                if patcher.stale_live and patcher.is_stale(frame.f_code):
+                    patcher.frame_returned(frame)
+                    self.refresh_quiet()
         elif event == "call":
             return self._global_dispatch(frame, event, arg)
         elif event == "exception" and self._exception_breaks:
@@ -658,6 +713,54 @@ class TraceEngine:
                                 watch={"exception": name,
                                        "message": str(exc_value)})
         return self._local_fn
+
+    def _line_handled(self, tid: int, frame) -> None:
+        """Mark this frame's line event as handled (see _code_hit)."""
+        if self.codebp.active:
+            self._handled[tid] = (id(frame), frame.f_lineno)
+
+    def _code_hit(self, frame, line: int) -> None:
+        """A patched line of *frame* is about to run (tracing.codebp).
+
+        Decides exactly as the line check of :meth:`_local_dispatch`
+        would, through ``BreakpointStore.effective`` (condition, ignore
+        count, hit count, temporary), and parks through :meth:`_pause`.
+        It does nothing when that check already ran for this line event
+        (a traced frame), inside the engine's own stop work, or on a
+        debugger thread; it never raises into the debuggee.  Like a
+        trace function it runs with this thread's tracing off.
+
+        Hot-path discipline (tools/lint_hotpath.py): no ``obs_metrics``
+        lookups; a conditional breakpoint in a hot loop runs this on
+        every iteration.
+        """
+        if not self._enabled or not self._installed:
+            return
+        tid = _get_ident()
+        busy = self._busy
+        if tid in busy:
+            return
+        if self._handled.pop(tid, None) == (id(frame), line):
+            return
+        if threading.current_thread().name.startswith("dionea-"):
+            return
+        trace = sys.gettrace()
+        if trace is not None:
+            sys.settrace(None)
+        busy.add(tid)
+        try:
+            bp = self.breakpoints.effective(
+                self._canonical_file(frame.f_code.co_filename), line,
+                frame.f_globals, frame.f_locals)
+            if bp is not None:
+                self._pause(UEId(os.getpid(), tid), frame,
+                            reason="breakpoint", breakpoint_id=bp.id)
+        except Exception:  # noqa: BLE001 - never raise into the debuggee
+            debug_event("tracing", f"code breakpoint at line {line} failed")
+        finally:
+            busy.discard(tid)
+            if trace is not None and self._installed:
+                sys.settrace(trace)
 
     _stdlib_prefix_cache: Optional[str] = None
 
@@ -679,6 +782,15 @@ class TraceEngine:
                breakpoint_id: Optional[int] = None,
                watch: Optional[dict] = None) -> None:
         """Park the calling UE and apply the client's resume command."""
+        self._busy.add(ue.tid)
+        try:
+            self._park(ue, frame, reason, breakpoint_id, watch)
+        finally:
+            self._busy.discard(ue.tid)
+
+    def _park(self, ue: UEId, frame, reason: str,
+              breakpoint_id: Optional[int],
+              watch: Optional[dict]) -> None:
         state = self.state_for(ue)
         state.notify_stopped()
         capture = capture_stack(frame, reason=reason,
@@ -720,6 +832,8 @@ class TraceEngine:
         if action == "continue":
             state.set_continue()
             self._active_steppers.discard(ue)
+            if self.codebp.stale_live:
+                self.codebp.recheck()
             self.refresh_quiet()
             self._strip_injected_frames(frame)
             return
@@ -759,6 +873,10 @@ class TraceEngine:
         """
         surviving = UEId.current()
         self._states = {surviving: StepState()}
+        # The patched code and the patch table are inherited as they
+        # are (§5.3 duty (2)); only per-thread marks are dropped.
+        self._handled = {}
+        self._busy = set()
         self._active_steppers = set()
         self.controller.reset_after_fork(surviving)
         self.watchpoints.reset_after_fork()

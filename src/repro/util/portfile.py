@@ -361,11 +361,15 @@ class PortFileWatcher:
         reactor's timer wheel.  The watcher owns no thread: each tick
         polls once and re-schedules itself, so fleet-scale clients pay
         zero threads for auto-attach.
+
+        The first tick is scheduled at once (delay 0), not one interval
+        later: attaching to a debuggee that has already announced itself
+        then costs no poll wait.  Later ticks keep the interval.
         """
         if self._scheduler is not None:
             raise RendezvousError("watcher already started")
         self._scheduler = scheduler
-        scheduler(self.poll_interval, self._scheduled_tick)
+        scheduler(0.0, self._scheduled_tick)
 
     def _scheduled_tick(self) -> None:
         """One scheduled poll; re-arms itself until stopped."""

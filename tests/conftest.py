@@ -8,6 +8,7 @@ poison its neighbours.
 
 from __future__ import annotations
 
+import faulthandler
 import os
 import signal
 import sys
@@ -25,8 +26,19 @@ import pytest
 #: (0 disables), per test with @pytest.mark.timeout(<seconds>).
 DEFAULT_TEST_TIMEOUT = float(os.environ.get("DIONEA_TEST_TIMEOUT", "120"))
 
+#: Seconds past a test's cap before the GIL-free backstop ends the whole
+#: run: an ordinary overrun fails by name first (pytest-timeout or the
+#: SIGALRM fallback); a process frozen with the GIL held, which neither
+#: can interrupt, is ended by faulthandler's own C thread with every
+#: thread's traceback.
+FREEZE_GRACE = 5.0
+
 
 def pytest_configure(config):
+    # pytest's fd capture swallows fd 2 during a test; the backstop
+    # writes to a copy of the real stderr taken now.
+    config._dionea_freeze_file = os.fdopen(  # noqa: SLF001
+        os.dup(sys.stderr.fileno()), "w")
     has_plugin = config.pluginmanager.hasplugin("timeout")
     config._dionea_alarm_fallback = (  # noqa: SLF001
         not has_plugin and DEFAULT_TEST_TIMEOUT > 0
@@ -44,36 +56,60 @@ def _test_timeout(item) -> float:
             return float(marker.args[0])
         except (TypeError, ValueError):
             pass
+    # pytest-timeout's --timeout (pytest_configure defaults it to ours)
+    option = getattr(item.config.option, "timeout", None)
+    if option:
+        return float(option)
     return DEFAULT_TEST_TIMEOUT
+
+
+def pytest_unconfigure(config):
+    freeze_file = getattr(config, "_dionea_freeze_file", None)
+    if freeze_file is not None:
+        freeze_file.close()
 
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_call(item):
-    """SIGALRM-based per-test deadline when pytest-timeout is absent.
+    """Per-test deadline: SIGALRM when pytest-timeout is absent, and a
+    GIL-free backstop either way.
 
     The alarm interrupts even a test blocked inside a lock acquire or a
     socket read on the main thread — the failure names the test and its
     budget instead of the whole run dying to the job-level `timeout(1)`.
+    Neither the alarm nor pytest-timeout (a signal handler or a Python
+    timer thread) runs while another thread holds the GIL for good, so
+    ``faulthandler.dump_traceback_later`` is armed too, *FREEZE_GRACE*
+    seconds later: it dumps every thread's stack (naming the test) and
+    exits the process.
     """
     timeout = _test_timeout(item)
-    if (not getattr(item.config, "_dionea_alarm_fallback", False)
-            or timeout <= 0
-            or threading.current_thread() is not threading.main_thread()):
+    if timeout <= 0:
         yield
         return
+    freeze_file = getattr(item.config, "_dionea_freeze_file", None)
+    if freeze_file is not None:
+        faulthandler.dump_traceback_later(timeout + FREEZE_GRACE,
+                                          exit=True, file=freeze_file)
+    alarm = (getattr(item.config, "_dionea_alarm_fallback", False)
+             and threading.current_thread() is threading.main_thread())
 
     def _expired(signum, frame):
         pytest.fail(f"test exceeded its {timeout:.0f}s deadline "
                     f"(per-test cap; see tests/conftest.py)",
                     pytrace=False)
 
-    previous = signal.signal(signal.SIGALRM, _expired)
-    signal.setitimer(signal.ITIMER_REAL, timeout)
+    if alarm:
+        previous = signal.signal(signal.SIGALRM, _expired)
+        signal.setitimer(signal.ITIMER_REAL, timeout)
     try:
         yield
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+        if alarm:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        if freeze_file is not None:
+            faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(autouse=True)

@@ -1,12 +1,20 @@
 """Parity matrix: the fast path must be invisible.
 
-The per-code fast path (LineTable probe + main-thread demotion) is a
-pure dispatch optimisation — a debugging session must produce
-byte-identical *behaviour* with it on or off.  This module re-runs the
-breakpoint, stepping, suspend/resume, watchpoint and fork-following
-integration suites across the settrace × {fastpath on, off} rows by
-re-importing their test classes under variant-parametrized fixtures,
-plus one scripted in-process test that diffs the literal stop streams
+The per-code fast path (LineTable probe + main-thread demotion) and the
+code-object breakpoints it enables (tracing.codebp) are pure dispatch
+optimisations — a debugging session must produce byte-identical
+*behaviour* with them on or off.  This module re-runs the breakpoint,
+stepping, suspend/resume, watchpoint, fork-following and
+code-breakpoint integration suites across three rows by re-importing
+their test classes under variant-parametrized fixtures:
+
+* ``settrace-fastpathon``: the fast path, patching every line it can;
+* ``settrace-fastpathoff``: the pure settrace reference;
+* ``settrace-fastpathon-nopatch``: the fast path with a patcher that
+  declines every line (a test seam, not an option), so the LineTable
+  path alone still runs every suite.
+
+Plus one scripted in-process test that diffs the literal stop streams
 of a fastpath-on engine against a fastpath-off engine.
 """
 
@@ -15,11 +23,22 @@ import threading
 import pytest
 
 from repro.client import DebugClient
+from repro.tracing import codebp
 from repro.tracing.engine import FASTPATH_ENV, TraceEngine
 
 # Re-collected under this module's variant fixtures (pytest resolves
 # fixtures from the *requesting* module, so these classes run against
-# the parametrized debug_pair/dionea below, not the conftest ones).
+# the parametrized trace_variant/debug_pair/dionea below, not the
+# conftest ones).
+from tests.integration.test_code_breakpoints import (  # noqa: F401
+    TestFallbacks,
+    TestFork,
+    TestHolders,
+    TestLiveFrames,
+    TestServedField,
+    TestStaleFramesRelease,
+    TestStopStreams,
+)
 from tests.integration.test_fork_following import (  # noqa: F401
     TestChildRendezvous,
     TestInheritedBreakpoints,
@@ -37,11 +56,19 @@ from tests.unit.test_engine import BP_LINE, SRC, Scripted, loop_sum
 pytestmark = pytest.mark.forks
 
 
-@pytest.fixture(params=[("settrace", "1"), ("settrace", "0")],
-                ids=lambda v: f"{v[0]}-fastpath{'on' if v[1] == '1' else 'off'}")
+def _decline(self, file, line):
+    return "declined by the parity matrix"
+
+
+@pytest.fixture(params=[("settrace", "1"), ("settrace", "0"),
+                        ("settrace", "1", "nopatch")],
+                ids=lambda v: f"{v[0]}-fastpath{'on' if v[1] == '1' else 'off'}"
+                              + "".join(f"-{extra}" for extra in v[2:]))
 def trace_variant(request, monkeypatch):
-    _hooks, fastpath = request.param
+    fastpath = request.param[1]
     monkeypatch.setenv(FASTPATH_ENV, fastpath)
+    if "nopatch" in request.param:
+        monkeypatch.setattr(codebp.CodePatcher, "plan", _decline)
     return request.param
 
 
@@ -132,3 +159,20 @@ class TestFastpathStopStreamParity:
         assert not engine.linetable.probe(loop_sum.__code__)
         off = TraceEngine(park_timeout=5.0, fastpath=False)
         assert not off.fastpath
+
+
+class TestCodeBreakpointRows:
+    """Guard against the on row silently running without patches (or an
+    off row silently patching)."""
+
+    def test_rows_serve_breakpoints_as_named(self, trace_variant):
+        engine = TraceEngine(park_timeout=5.0)
+        engine.breakpoints.add(SRC, BP_LINE)
+        engine.install()
+        try:
+            served = engine.served(engine.breakpoints.snapshot_state()[0])
+        finally:
+            engine.uninstall()
+        patching = trace_variant == ("settrace", "1") and codebp.SUPPORTED
+        expected = "code" if patching else "trace"
+        assert served == expected, f"row {trace_variant} served {served}"

@@ -9,12 +9,27 @@ schedule (itself set through alias spellings), the precomputed
 and :meth:`LineTable.probe` must equal its boolean (plus the function-
 breakpoint escape hatch).  No real files are involved — canonical_file
 is pure path arithmetic.
+
+The code-breakpoint oracle at the end does use a real module
+(codebp_fixture): over generated breakpoint sets, a line is patched iff
+it is in ``co_lines()`` (of its function only, as one block) and starts
+a simple statement in a function body, and a run stops at the same
+``(line, hit_count)`` sequence as the fastpath-off engine.
 """
 
-from hypothesis import given, strategies as st
+import ast
+import inspect
+import threading
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.tracing import codebp
 from repro.tracing.breakpoints import BreakpointStore, canonical_file
+from repro.tracing.control import ResumeCommand
+from repro.tracing.engine import TraceEngine
 from repro.tracing.linetable import LineTable
+from tests.property import codebp_fixture
 
 #: Two distinct module identities, each with several spellings that
 #: canonicalise to the same path — plus the other module's spellings,
@@ -143,3 +158,112 @@ class TestOracleEquality:
             fresh = LineTable(store)
             for code in codes:
                 assert table.probe(code) is fresh.probe(code)
+
+
+# -- code-object breakpoints (tracing.codebp) -----------------------------
+
+FIXTURE_LINES = len(inspect.getsource(codebp_fixture).splitlines())
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _code_lines(code):
+    return {lineno for _s, _e, lineno in code.co_lines()}
+
+
+def _one_run(code, line):
+    """Do *line*'s instructions form one block (the line is never left
+    and re-entered, as a call continued on the next line is)?"""
+    order = [lineno for _s, _e, lineno in code.co_lines()]
+    hits = [i for i, lineno in enumerate(order) if lineno == line]
+    return all(order[i] == line for i in range(hits[0], hits[-1] + 1))
+
+
+def _patchable_oracle():
+    """Lines that start a simple statement in a function body and are
+    in the ``co_lines()`` of that function only, as one block: the first
+    statement touching the line (a header claims its own lines, a simple
+    statement all of them) starts on it, is simple, its innermost scope
+    is a def, no comprehension or lambda runs the line too, and the
+    line's instructions are not split by another line's."""
+    tree = ast.parse(inspect.getsource(codebp_fixture))
+    codes = [code
+             for function in (codebp_fixture.loops, codebp_fixture.calls,
+                              codebp_fixture.nested, codebp_fixture.guarded,
+                              codebp_fixture.Box.area, codebp_fixture.run)
+             for code in all_code_objects(function.__code__)]
+    owner = {}  # line -> (first statement claiming it, its scope)
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.stmt):
+                if hasattr(child, "body"):
+                    first = min([child.lineno] + [
+                        d.lineno for d in getattr(child, "decorator_list",
+                                                  [])])
+                    claimed = range(first, max(child.lineno + 1,
+                                               child.body[0].lineno))
+                else:
+                    claimed = range(child.lineno, child.end_lineno + 1)
+                for line in claimed:
+                    owner.setdefault(line, (child, scope))
+            visit(child, child if isinstance(child, _SCOPES) else scope)
+
+    visit(tree, tree)
+    lines = set()
+    for line, (stmt, scope) in owner.items():
+        holders = [code for code in codes if line in _code_lines(code)]
+        if (stmt.lineno == line and not hasattr(stmt, "body")
+                and isinstance(scope, (ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                and [code.co_firstlineno for code in holders]
+                == [scope.lineno]
+                and _one_run(holders[0], line)):
+            lines.add(line)
+    return lines
+
+
+def _run_fixture(fastpath, lines):
+    """([(line, hit_count)] of every stop, served verdicts) for one run
+    of the fixture with a breakpoint on each of *lines*."""
+    engine = TraceEngine(park_timeout=5.0, fastpath=fastpath)
+    stops = []
+
+    def on_stop(ue, capture):
+        bp = engine.breakpoints.get(capture.breakpoint_id)
+        stops.append((capture.top.line, bp.hit_count))
+        threading.Thread(target=lambda: engine.controller.release(
+            ue, ResumeCommand(action="continue"))).start()
+
+    engine.on_stop = on_stop
+    for line in lines:
+        engine.breakpoints.add(codebp_fixture.__file__, line)
+    engine.install()
+    try:
+        result = codebp_fixture.run()
+        served = {row["line"] for row in engine.breakpoints.snapshot_state()
+                  if engine.served(row) == "code"}
+    finally:
+        engine.uninstall()
+    return result, stops, served
+
+
+class TestCodeBreakpointOracle:
+    @pytest.mark.skipif(not codebp.SUPPORTED,
+                        reason="code-object breakpoints need CPython 3.11")
+    def test_every_line_patched_iff_simple_statement_in_a_def(self):
+        oracle = _patchable_oracle()
+        _result, _stops, served = _run_fixture(
+            True, range(1, FIXTURE_LINES + 1))
+        assert served == oracle
+        assert oracle, "the fixture has no patchable line"
+
+    @settings(max_examples=25)
+    @given(lines=st.sets(st.integers(min_value=1, max_value=FIXTURE_LINES),
+                         max_size=6))
+    def test_stops_match_the_fastpath_off_engine(self, lines):
+        on = _run_fixture(True, lines)
+        off = _run_fixture(False, lines)
+        assert on[:2] == off[:2]
+        assert off[2] == set()
+        if codebp.SUPPORTED:
+            assert on[2] == lines & _patchable_oracle()

@@ -4,7 +4,10 @@ armed/disarmed hook lifecycle.
 What the tentpole must guarantee, pinned here in-process:
 
 * a quiet main thread physically drops its hook (demotion) and the
-  re-arm signal restores it when a breakpoint appears from any thread;
+  re-arm signal restores it when a breakpoint that needs the trace
+  function (here the ``for`` header of ``loop_sum``) appears from any
+  thread, while a patched breakpoint (tracing.codebp) leaves it
+  demoted and still stops;
 * async suspend injects local traces only into debuggee frames, never
   into debugger-infrastructure or synthetic (``<...>``) frames; and
 * a suspended-then-resumed thread returns to the fast path — its
@@ -20,15 +23,22 @@ import time
 
 import pytest
 
+from repro.tracing import codebp
 from repro.tracing.control import ResumeCommand
 from repro.tracing.engine import TraceEngine
 from repro.util.ids import UEId
 
 from tests.unit.test_engine import BP_LINE, SRC, Scripted, loop_sum
 
+#: ``for i in range(n):`` in loop_sum: a loop header is never patched,
+#: so a breakpoint there needs the trace function.
+FOR_LINE = BP_LINE - 1
+
 pytestmark = pytest.mark.skipif(
     not hasattr(signal, "SIGURG"),
     reason="demotion lifecycle needs the SIGURG re-arm channel")
+needs_codebp = pytest.mark.skipif(
+    not codebp.SUPPORTED, reason="code-object breakpoints need CPython 3.11")
 
 
 def wait_until(predicate, timeout=5.0, message="condition"):
@@ -63,7 +73,7 @@ class TestDemotionLifecycle:
             loop_sum(3)
             assert sys.gettrace() is None
             threading.Thread(
-                target=lambda: engine.breakpoints.add(SRC, BP_LINE)).start()
+                target=lambda: engine.breakpoints.add(SRC, FOR_LINE)).start()
             # The add must re-arm THIS (main) thread even though the
             # mutation happened elsewhere: sync() signals SIGURG and the
             # handler lands here at the next bytecode checkpoint.
@@ -81,15 +91,68 @@ class TestDemotionLifecycle:
             assert sys.gettrace() is None
             threading.Thread(
                 target=lambda: script.engine.breakpoints.add(
-                    SRC, BP_LINE)).start()
+                    SRC, FOR_LINE)).start()
             wait_until(lambda: sys.gettrace() is not None,
                        message="main thread re-arm")
             result = loop_sum(2)
         finally:
             script.engine.uninstall()
         assert result == 1
+        # The header's line event fires per iteration and at exhaustion.
+        assert len(script.stops) == 3
+        assert all(s.reason == "breakpoint" for s in script.stops)
+        assert all(s.top.line == FOR_LINE for s in script.stops)
+
+    @needs_codebp
+    def test_patched_breakpoint_from_other_thread_keeps_main_demoted(self):
+        engine = _fastpath_engine()
+        engine.install()
+        try:
+            loop_sum(3)
+            assert sys.gettrace() is None
+            adder = threading.Thread(
+                target=lambda: engine.breakpoints.add(SRC, BP_LINE))
+            adder.start()
+            adder.join(5.0)
+            assert engine.served(engine.breakpoints.snapshot_state()[0]) \
+                == "code"
+            time.sleep(0.05)  # room for a (wrong) re-arm signal to land
+            loop_sum(0)
+            assert sys.gettrace() is None, \
+                "a patched breakpoint re-armed the main thread"
+            assert engine._main_demoted  # noqa: SLF001
+        finally:
+            engine.uninstall()
+
+    @needs_codebp
+    def test_patched_breakpoint_set_while_demoted_stops_demoted(self):
+        script = Scripted(engine=_fastpath_engine())
+        traces = []
+        on_stop = script.engine.on_stop
+
+        def record(ue, capture):
+            traces.append(sys.gettrace())
+            on_stop(ue, capture)
+
+        script.engine.on_stop = record
+        script.engine.install()
+        try:
+            loop_sum(3)
+            assert sys.gettrace() is None
+            adder = threading.Thread(
+                target=lambda: script.engine.breakpoints.add(SRC, BP_LINE))
+            adder.start()
+            adder.join(5.0)
+            result = loop_sum(2)
+            demoted = sys.gettrace() is None
+        finally:
+            script.engine.uninstall()
+        assert result == 1
         assert len(script.stops) == 2
         assert all(s.reason == "breakpoint" for s in script.stops)
+        assert all(s.top.line == BP_LINE for s in script.stops)
+        assert traces == [None, None], "stopped with a trace function on"
+        assert demoted
 
     def test_removing_last_breakpoint_demotes_again(self):
         script = Scripted(engine=_fastpath_engine())

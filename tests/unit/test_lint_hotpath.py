@@ -1,5 +1,5 @@
-"""Unit tests: the hot-path lint's clock-pair, reactor, fork-phase and
-bare-lock rules (tools/lint_hotpath)."""
+"""Unit tests: the hot-path lint's clock-pair, reactor, fork-phase,
+bare-lock and fast-path rules (tools/lint_hotpath)."""
 
 import importlib.util
 import os
@@ -207,6 +207,40 @@ class TestBareLockRule:
 
     def test_this_tree_has_no_bare_lock(self, lint):
         assert lint.scan_bare_locks(REPO_ROOT) == []
+
+
+class TestFastPathRule:
+    """The obs-free rule covers the global dispatch and the code-object
+    breakpoint hook that patched code calls."""
+
+    def test_metric_lookup_in_the_hook_is_flagged(self, lint, tmp_path):
+        path = tmp_path / "codebp.py"
+        path.write_text(
+            "from ..obs import metrics as obs_metrics\n"
+            "class Hook:\n"
+            "    def hit(self, line):\n"
+            "        obs_metrics.inc('codebp.hits')\n")
+        hits = lint.find_fastpath_metric_lookups(str(path), "hit")
+        assert hits == [(4, "obs_metrics.inc")]
+
+    def test_renamed_hook_is_reported(self, lint, tmp_path):
+        path = tmp_path / "codebp.py"
+        path.write_text("class Hook:\n    def fire(self, line):\n"
+                        "        pass\n")
+        hits = lint.find_fastpath_metric_lookups(str(path), "hit")
+        assert len(hits) == 1 and "not found" in hits[0][1]
+
+    def test_rule_covers_dispatch_and_hook(self, lint):
+        covered = {(os.path.basename(module), name)
+                   for module, names in lint.FASTPATH_FUNCTIONS.items()
+                   for name in names}
+        assert covered == {("engine.py", "_global_dispatch"),
+                           ("engine.py", "_code_hit"),
+                           ("codebp.py", "hit")}
+        for module, names in lint.FASTPATH_FUNCTIONS.items():
+            for name in names:
+                assert lint.find_fastpath_metric_lookups(
+                    os.path.join(REPO_ROOT, module), name) == []
 
 
 class TestWholeRepo:

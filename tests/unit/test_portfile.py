@@ -113,6 +113,23 @@ class TestPortFileWatcher:
         finally:
             watcher.stop()
 
+    def test_first_poll_runs_as_soon_as_watching_starts(self, tmp_path,
+                                                        waiter, scheduler):
+        # A debuggee that announced before the client started watching
+        # is picked up by the first tick, not one poll interval later.
+        pf = PortFile(str(tmp_path / "ports"))
+        pf.announce(record(pid=78))
+        seen = []
+        watcher = PortFileWatcher(portfile=pf, on_record=seen.append,
+                                  poll_interval=5.0)
+        watcher.start(scheduler)
+        try:
+            waiter(lambda: len(seen) == 1, timeout=1.0,
+                   message="the first poll")
+            assert seen[0].pid == 78
+        finally:
+            watcher.stop()
+
     def test_double_start_rejected(self, tmp_path, scheduler):
         watcher = PortFileWatcher(portfile=PortFile(str(tmp_path / "p")),
                                   on_record=lambda r: None)

@@ -10,13 +10,16 @@ internals).  A single stray ``import logging`` in the
 tracing, fork-hook, mp or obs packages is how that discipline erodes, so
 CI fails on it.
 
-A second check guards the trace engine's global-dispatch fast path: the
+A second check guards the trace engine's fast paths: the
 ``_global_dispatch`` body must not contain any ``obs_metrics`` attribute
 lookup.  That function runs on every call event of every debuggee
 thread; its counters are plain ints exported as callback gauges at
 install time, and a casually added ``obs_metrics.inc(...)`` would put an
 attribute lookup plus a shard update on the path the §7 overhead budget
-is spent on.
+is spent on.  The same holds for the code-object breakpoint hook
+(``Hook.hit`` in tracing/codebp.py and the ``_code_hit`` it calls):
+patched code calls it on every execution of a breakpoint line, so a
+conditional breakpoint in a hot loop runs it on every iteration.
 
 Usage: ``python tools/lint_hotpath.py [repo-root]`` — exits non-zero and
 prints one line per offending import.
@@ -59,24 +62,35 @@ def find_banned_imports(path: str) -> list:
 #: must not be attribute-accessed inside it.
 FASTPATH_FUNCTION = "_global_dispatch"
 FASTPATH_BANNED_NAME = "obs_metrics"
+#: Every fast-path function the rule covers, by module: the global
+#: dispatch and the code-object breakpoint hook (patched code calls
+#: Hook.hit, which calls the engine's _code_hit).
+FASTPATH_FUNCTIONS = {
+    os.path.join("src", "repro", "tracing", "engine.py"): (
+        FASTPATH_FUNCTION, "_code_hit"),
+    os.path.join("src", "repro", "tracing", "codebp.py"): ("hit",),
+}
 
 
-def find_fastpath_metric_lookups(path: str) -> list:
-    """(lineno, source) for each ``obs_metrics.<attr>`` inside the
-    global-dispatch fast path of the file at *path*.  Returns a single
-    sentinel entry if the function is missing entirely — a rename must
-    update this lint, not silently disable it."""
+def find_fastpath_metric_lookups(path: str,
+                                 function_name: str = FASTPATH_FUNCTION
+                                 ) -> list:
+    """(lineno, source) for each ``obs_metrics.<attr>`` inside the fast
+    path *function_name* (default: the global dispatch) of the file at
+    *path*.  Returns a single sentinel entry if the function is missing
+    entirely — a rename must update this lint, not silently disable
+    it."""
     with open(path, "r", encoding="utf-8") as fh:
         source = fh.read()
     tree = ast.parse(source, filename=path)
     function = None
     for node in ast.walk(tree):
         if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node.name == FASTPATH_FUNCTION):
+                and node.name == function_name):
             function = node
             break
     if function is None:
-        return [(0, f"function {FASTPATH_FUNCTION!r} not found — "
+        return [(0, f"function {function_name!r} not found — "
                     f"update tools/lint_hotpath.py for the rename")]
     hits = []
     for node in ast.walk(function):
@@ -392,16 +406,18 @@ def main(argv: list) -> int:
                     problems.append(
                         f"{rel}:{lineno}: imports {module!r} "
                         f"(banned on the hot path)")
-    engine_path = os.path.join(root, "src", "repro", "tracing", "engine.py")
-    if not os.path.isfile(engine_path):
-        print(f"lint-hotpath: missing {engine_path}", file=sys.stderr)
-        return 2
-    for lineno, what in find_fastpath_metric_lookups(engine_path):
-        rel = os.path.relpath(engine_path, root)
-        problems.append(
-            f"{rel}:{lineno}: {what} inside {FASTPATH_FUNCTION} "
-            f"(no obs lookups on the global-trace fast path; use a "
-            f"plain int + callback gauge)")
+    for module, function_names in sorted(FASTPATH_FUNCTIONS.items()):
+        fast_path = os.path.join(root, module)
+        if not os.path.isfile(fast_path):
+            print(f"lint-hotpath: missing {fast_path}", file=sys.stderr)
+            return 2
+        for name in function_names:
+            for lineno, what in find_fastpath_metric_lookups(fast_path,
+                                                             name):
+                problems.append(
+                    f"{module}:{lineno}: {what} inside {name} "
+                    f"(no obs lookups on a trace fast path; use a "
+                    f"plain int + callback gauge)")
     reactor_scans = [(REACTOR_MODULE, None)]
     reactor_scans += sorted(REACTOR_HANDLER_MODULES.items())
     for module, function_names in reactor_scans:
@@ -452,7 +468,8 @@ def main(argv: list) -> int:
         print("\n".join(problems))
         return 1
     print(f"lint-hotpath: OK ({', '.join(HOT_PACKAGES)} are "
-          f"logging-free; {FASTPATH_FUNCTION} is obs-free; the reactor "
+          f"logging-free; {FASTPATH_FUNCTION} and the code-breakpoint "
+          f"hook are obs-free; the reactor "
           f"and its server handlers have no blocking calls; fork-phase "
           f"bodies have no blocking calls; phase C and the child-side "
           f"resets take no lock; debugger locks come from the factory; "
