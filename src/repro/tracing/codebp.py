@@ -16,11 +16,10 @@ decorator, and the enclosing functions, so that closures made later get
 the call too.  (For a function with no nested code, reference counts
 can prove that a walk of its module's namespace found every holder;
 then no pass is needed.)  Only an execution of that line calls into the
-debugger
-(:meth:`~repro.tracing.engine.TraceEngine._code_hit`), and the engine
-counts a patched breakpoint as quiet: while every armed breakpoint is
-patched its main thread stays demoted and keeps the specialising
-interpreter.
+debugger (:meth:`~repro.tracing.engine.TraceEngine._code_hit`), and the
+engine counts a patched breakpoint as quiet: while every armed
+breakpoint is patched its main thread stays demoted and keeps the
+specialising interpreter.
 
 A breakpoint stays on the settrace + LineTable path (where it stops does
 not change, only what it costs) when :meth:`CodePatcher.plan` or the
@@ -117,6 +116,23 @@ class Hook:
         engine = self._engine()
         if engine is not None:
             engine._code_hit(_getframe(1), line)
+
+
+def write_back(frame, frame_locals: dict, before: dict) -> None:
+    """Store locals assigned while a patched stop was parked (an
+    ``eval`` of ``x := 42``) into *frame*, as the interpreter does after
+    every trace call (``PyFrame_LocalsToFast``).  *frame_locals* is the
+    frame's locals dict and *before* its copy from before the park;
+    ctypes is loaded only when they differ."""
+    if len(frame_locals) == len(before) and all(
+            frame_locals.get(name, before) is value
+            for name, value in before.items()):
+        return
+    import ctypes
+    locals_to_fast = ctypes.pythonapi.PyFrame_LocalsToFast
+    locals_to_fast.argtypes = (ctypes.py_object, ctypes.c_int)
+    locals_to_fast.restype = None
+    locals_to_fast(frame, 1)
 
 
 def _code_tree(code) -> Iterator[types.CodeType]:

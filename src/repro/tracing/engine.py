@@ -749,12 +749,15 @@ class TraceEngine:
             sys.settrace(None)
         busy.add(tid)
         try:
+            frame_locals = frame.f_locals
             bp = self.breakpoints.effective(
                 self._canonical_file(frame.f_code.co_filename), line,
-                frame.f_globals, frame.f_locals)
+                frame.f_globals, frame_locals)
             if bp is not None:
+                before = dict(frame_locals)
                 self._pause(UEId(os.getpid(), tid), frame,
                             reason="breakpoint", breakpoint_id=bp.id)
+                codebp.write_back(frame, frame_locals, before)
         except Exception:  # noqa: BLE001 - never raise into the debuggee
             debug_event("tracing", f"code breakpoint at line {line} failed")
         finally:

@@ -20,6 +20,7 @@ import pytest
 from repro.client import Shell
 from repro.tracing.control import ResumeCommand
 from repro.tracing.engine import TraceEngine
+from repro.tracing.frames import evaluate_in_frame
 from tests.conftest import fork_child, wait_child
 from tests.unit.test_engine import BP_LINE, SRC as ENGINE_SRC, Scripted, \
     loop_sum
@@ -302,6 +303,38 @@ class TestStopStreams:
         row = _stream(engine(), [], breakpoints, loop_sum, 5)
         assert row == _reference_stream([], breakpoints, loop_sum, 5)
         assert row[1], "the breakpoint never stopped"
+
+
+def assigned_at_stop():
+    x = 1
+    y = x                              # ASSIGN_LINE
+    return y
+
+
+ASSIGN_LINE = assigned_at_stop.__code__.co_firstlineno + 2
+
+
+def _assign_while_stopped(eng):
+    """Run assigned_at_stop with an eval of ``x := 42`` at its stop."""
+    def on_stop(ue, capture):
+        evaluate_in_frame(eng.paused_frame(ue), "(x := 42)")
+        threading.Thread(target=lambda: eng.controller.release(
+            ue, ResumeCommand(action="continue"))).start()
+
+    eng.on_stop = on_stop
+    eng.breakpoints.add(SRC, ASSIGN_LINE)
+    eng.install()
+    try:
+        return assigned_at_stop()
+    finally:
+        eng.uninstall()
+
+
+class TestEvalAtStop:
+    def test_eval_assignment_reaches_the_frame(self, trace_variant):
+        reference = _assign_while_stopped(
+            TraceEngine(park_timeout=5.0, fastpath=False))
+        assert _assign_while_stopped(engine()) == reference == 42
 
 
 class TestFallbacks:

@@ -31,6 +31,7 @@ from repro.tracing.engine import FASTPATH_ENV, TraceEngine
 # the parametrized trace_variant/debug_pair/dionea below, not the
 # conftest ones).
 from tests.integration.test_code_breakpoints import (  # noqa: F401
+    TestEvalAtStop,
     TestFallbacks,
     TestFork,
     TestHolders,

@@ -97,7 +97,7 @@ class TestServedByHook:
     def test_finally_body_stays_on_settrace(self, hook):
         # 3.11 compiles a finally body twice; the exception-path copy's
         # line begins at PUSH_EXC_INFO, before the inserted call, so the
-        # check declines the line (conservatively: it would be served).
+        # check declines the line and settrace keeps serving it.
         source = ("def f(x):\n    try:\n        x += 1\n"
                   "    finally:\n        x = 0\n    return x\n")
         assert not codebp._served_by_hook(_patched(source, 5, hook), 5,
