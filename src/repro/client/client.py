@@ -131,15 +131,11 @@ class DebugClient:
         return session
 
     def watch_portfile(self, portfile: PortFile,
-                       poll_interval: float = 0.02,
-                       gc_interval: float = 5.0) -> None:
+                       poll_interval: float = 0.02) -> None:
         """Auto-attach every server announced in the rendezvous file.
 
-        The watcher is liveness-checked: a record whose pid is already
-        dead is never dialed (each dial would eat a connect timeout),
-        and dead records are reaped from the file every *gc_interval*
-        seconds so a long debug run's rendezvous file doesn't accrete
-        corpses.  Pass ``gc_interval=0`` to keep every record forever.
+        A record whose pid is already dead is never dialed (each dial
+        would eat a connect timeout).
 
         The poll rides the shared reactor's timer wheel — the wheel
         fires the tick, the dispatcher thread runs the poll and any
@@ -150,7 +146,7 @@ class DebugClient:
             raise SessionError("already watching a port file")
         self._watcher = PortFileWatcher(
             portfile=portfile, on_record=self._on_port_record,
-            poll_interval=poll_interval, gc_interval=gc_interval)
+            poll_interval=poll_interval)
         self._watcher.start(scheduler=self._schedule_poll)
 
     def _schedule_poll(self, delay: float,
@@ -164,6 +160,8 @@ class DebugClient:
             existing = self._sessions.get(record.pid)
             if existing is not None and not existing.closed:
                 return
+        if not pid_alive(record.pid):
+            return  # announced, then died before we dialed
         try:
             self.attach(record.host, record.port)
         except (ReproError, OSError) as exc:

@@ -127,6 +127,9 @@ class Dionea:
         self.server.engine.refresh_quiet()
         self._install_tracing = install_tracing
         self._started = False
+        #: the process whose start() began the run: only it removes the
+        #: run's port file (a forked child's stop() must not)
+        self._owner_pid: Optional[int] = None
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -145,6 +148,7 @@ class Dionea:
                 raise ReproError("another Dionea is already active "
                                  "in this process")
             _current = self
+        self._owner_pid = os.getpid()
         try:
             # Exec survival: the previous image staged its trace root in
             # the environment; continue that trace and relabel/rotate
@@ -190,7 +194,7 @@ class Dionea:
         """Everything stop() undoes; also a failed start()'s undo."""
         self._teardown()
         self.server.close()
-        if remove_portfile:
+        if remove_portfile and os.getpid() == self._owner_pid:
             try:
                 self.portfile.remove()
             except OSError:

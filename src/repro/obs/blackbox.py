@@ -171,10 +171,10 @@ class BlackBox:
                   "trace": root.to_wire()}
         if self._exec_of is not None:
             record["exec_of"] = self._exec_of
-        self._write_locked(record, force=True)
+        self._append_locked(record, force=True)
         return True
 
-    def _write_locked(self, record: Dict[str, Any], force: bool) -> bool:
+    def _append_locked(self, record: Dict[str, Any], force: bool) -> bool:
         if self._fd is None:
             return False
         if not force and self._bytes >= self._limit:
@@ -209,7 +209,7 @@ class BlackBox:
             self._recorder.drain_since(self._cursor)
         self._cursor = cursor
         if records or ring_dropped:
-            self._write_locked({"kind": "spans", "spans": records,
+            self._append_locked({"kind": "spans", "spans": records,
                                 "ring_dropped": ring_dropped},
                                force=False)
 
@@ -249,9 +249,9 @@ class BlackBox:
             except Exception:  # noqa: BLE001 - best-effort on the way out
                 snap = None
             if snap is not None:
-                self._write_locked({"kind": "metrics", "snapshot": snap},
+                self._append_locked({"kind": "metrics", "snapshot": snap},
                                    force=False)
-            self._write_locked({"kind": "marker", "reason": reason,
+            self._append_locked({"kind": "marker", "reason": reason,
                                 "terminal": bool(terminal)}, force=True)
 
     # -- lifecycle ----------------------------------------------------------

@@ -10,7 +10,8 @@ design hinges on:
 * **no leaked children** — every pid the scenario forked is reaped (and
   anything still alive after the sweep is SIGKILLed and reported);
 * **no orphaned port files** — every rendezvous file the scenario
-  created is gone by the end;
+  created, and every file whose name starts with its path, is gone by
+  the end;
 * **fork registry consistent** — the handler registry holds the same
   labels after the run as before it (failed forks must unwind cleanly);
 * **no armed faults escape** — the global fault registry is clean.
@@ -27,6 +28,7 @@ asserts the injected fault sequence is byte-identical.
 
 from __future__ import annotations
 
+import glob
 import os
 import random
 import signal
@@ -217,8 +219,9 @@ class ScenarioRunner:
         if leaked:
             result.violations.append(f"leaked children killed: {leaked}")
 
-        # 2. No orphaned port files.
-        orphaned = [p for p in ctx.portfile_paths if os.path.exists(p)]
+        # 2. No orphaned port files, nor files named after one.
+        orphaned = sorted(p for path in ctx.portfile_paths
+                          for p in glob.glob(glob.escape(path) + "*"))
         for path in orphaned:
             try:
                 os.unlink(path)

@@ -6,25 +6,24 @@ one session.  *"Dionea's fork handlers use a temporary file, where the port
 number of the most recently created process is saved."*  The client watches
 that file and dials the new debug server.
 
-The file lives next to a lock file and is written atomically
-(write-to-temp + ``os.rename``) so a watcher never observes a half-written
-record.  Each record is one JSON line; the file is append-only within one
-debug run, which doubles as an audit trail of every fork.
+The file is an append-only log for the whole debug run, which doubles as
+an audit trail of every fork.  Each record is one JSON line appended with
+a single ``O_APPEND`` ``write(2)``, so concurrent children never
+interleave and no writer takes a lock.  The watcher reads it by offset:
+each poll parses only the complete lines appended since the last one.
+Only the process that started the run removes the file.
 """
 
 from __future__ import annotations
 
-import contextlib
 import errno
-import fcntl
 import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import BinaryIO, Callable, Dict, List, Optional
 
-from . import locks
 from .errors import RendezvousError
 
 
@@ -107,67 +106,31 @@ class PortFile:
     """Writer/reader for the rendezvous file.
 
     Writing happens in the *child-side fork handler* (one record per fork);
-    reading happens in the client's watcher thread.  Both sides may live in
-    different processes, so coordination goes through the filesystem only.
+    reading happens in the client's :class:`PortFileWatcher`.  Both sides
+    may live in different processes, so coordination goes through the
+    filesystem only.
     """
-
-    #: Serialises every append and rewrite among the threads of this
-    #: process, whichever instance they go through: the sidecar lock of
-    #: :meth:`_flocked` excludes other processes only.
-    _write_lock = locks.Lock()
 
     def __init__(self, path: str):
         self.path = path
-        #: consecutive failed port probes per (pid, port) — an exec'd
-        #: debuggee keeps its pid alive while its debug port is gone,
-        #: so pid liveness alone can never reap it; two failed probes
-        #: (not one: a probe can race a listener restart) do.
-        self._probe_strikes: Dict[tuple, int] = {}
-
-    @contextlib.contextmanager
-    def _flocked(self):
-        """Cross-process mutual exclusion between appenders and the GC.
-
-        ``O_APPEND`` alone keeps concurrent *appends* intact, but the
-        liveness GC rewrites the whole file — an append landing between
-        its read and its rename would be silently dropped.  A lock on a
-        sidecar file serialises the two; appenders hold it only for one
-        ``write(2)``.  It is a POSIX record lock, not a ``flock``: a
-        child forked while a parent thread holds it does not inherit
-        it, where a ``flock`` would stay held through the child's copy
-        of the descriptor and the child's own announce would wait on it
-        forever.  A record lock excludes other processes only (and
-        closing any descriptor of the file drops it), so callers hold
-        :attr:`_write_lock` around it.
-        """
-        lock_fd = os.open(f"{self.path}.lock",
-                          os.O_WRONLY | os.O_CREAT, 0o600)
-        try:
-            fcntl.lockf(lock_fd, fcntl.LOCK_EX)
-            yield
-        finally:
-            os.close(lock_fd)  # closing releases the lock
 
     # -- writer side (debug server, child fork handler) --------------------
 
     def announce(self, record: PortRecord) -> None:
-        """Append one record atomically.
+        """Append one record with a single ``O_APPEND`` write.
 
-        Append via a rename of the whole file would race with concurrent
-        children, so we rely on POSIX ``O_APPEND`` atomicity for writes
-        below PIPE_BUF — every record is far smaller than that.
+        Each such write of a record far below ``PIPE_BUF`` lands whole at
+        the end of the file, so concurrent children never interleave.
         """
-        line = record.to_json() + "\n"
-        data = line.encode("utf-8")
+        data = (record.to_json() + "\n").encode("utf-8")
         if len(data) > 4096:
             raise RendezvousError("port record unexpectedly large")
-        with self._write_lock, self._flocked():
-            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT,
-                         0o600)
-            try:
-                os.write(fd, data)
-            finally:
-                os.close(fd)
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT,
+                     0o600)
+        try:
+            os.write(fd, data)
+        finally:
+            os.close(fd)
 
     def tombstone(self, pid: int, host: str = "", port: int = 0,
                   reason: str = "detached") -> None:
@@ -183,7 +146,7 @@ class PortFile:
             pid=pid, parent_pid=0, host=host, port=port,
             created_at=time.time(), state=STATE_TOMBSTONE, reason=reason))
 
-    # -- reader side (client watcher) --------------------------------------
+    # -- reader side -------------------------------------------------------
 
     def read_all(self) -> List[PortRecord]:
         """Read every record currently in the file (possibly empty)."""
@@ -205,108 +168,88 @@ class PortFile:
             if exc.errno != errno.ENOENT:
                 raise
 
-    # -- liveness GC --------------------------------------------------------
 
-    def _port_dead(self, record: PortRecord) -> bool:
-        """Probe the record's port; True after two consecutive failures.
-
-        The strike counter absorbs the one legitimate transient — a
-        watchdog healing the listener onto a new port between probes —
-        while still reaping exec'd debuggees (pid alive, port gone)
-        within two GC passes.
-        """
-        import socket
-        key = (record.pid, record.port)
-        try:
-            socket.create_connection((record.host, record.port),
-                                     timeout=0.2).close()
-        except OSError:
-            strikes = self._probe_strikes.get(key, 0) + 1
-            self._probe_strikes[key] = strikes
-            return strikes >= 2
-        self._probe_strikes.pop(key, None)
-        return False
-
-    def reap_dead(self, min_age: float = 5.0,
-                  now: Optional[float] = None,
-                  probe_ports: bool = False) -> List[PortRecord]:
-        """Drop dead records; returns the reaped records.
-
-        Three kinds of corpse are reaped:
-
-        * **dead pid** — the classic case (PR 4), still gated on
-          *min_age* so a child between announce and first breath is
-          never orphaned;
-        * **tombstoned pid** — the debugger wrote a tombstone (detach /
-          exec / daemonize); both the tombstone and every record it
-          covers go at once, regardless of age or pid liveness;
-        * **exec'd pid** (``probe_ports=True``) — pid alive but the
-          debug port refuses twice in a row: the process exec'd away
-          from under its debugger without a tombstone (SIGKILL between
-          tombstone and exec, third-party exec).
-
-        The rewrite is atomic (temp file + ``rename``) and holds the
-        sidecar ``flock`` so a concurrent child's append can never land
-        between the read and the rename and be lost.
-        """
-        now = time.time() if now is None else now
-        # Probe OUTSIDE the flock: a fork handler appending its announce
-        # must never queue behind 0.2s-per-corpse connect timeouts.  The
-        # lock-held pass below drops only identities condemned here, so
-        # an append racing the probe pass survives untouched.
-        condemned: set = set()
-        for record in self.read_all():
-            if record.tombstoned:
-                condemned.add(record.pid)
-                continue
-            aged = now - record.created_at >= min_age
-            if aged and not pid_alive(record.pid):
-                condemned.add(record.pid)
-            elif aged and probe_ports and self._port_dead(record):
-                condemned.add(record.pid)
-        if not condemned:
-            return []
-        with self._write_lock, self._flocked():
-            records = self.read_all()
-            keep = [r for r in records if r.pid not in condemned]
-            reaped = [r for r in records if r.pid in condemned]
-            if not reaped:
-                return []
-            tmp = f"{self.path}.gc.{os.getpid()}"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                for record in keep:
-                    fh.write(record.to_json() + "\n")
-            os.replace(tmp, self.path)
-        return reaped
+def _note(message: str) -> None:
+    """A debug-log line; imported late because :mod:`repro.obs`
+    imports this package."""
+    from ..obs.spans import debug_event
+    debug_event("portfile", message)
 
 
-@dataclass
 class PortFileWatcher:
-    """Polls a :class:`PortFile` and fires a callback for each new record.
+    """Reads a :class:`PortFile` by offset and fires a callback for each
+    new record.
 
     A tiny poll loop instead of inotify keeps the watcher portable and
     dependency-free; the poll interval bounds attach latency for new
     children (the paper's GUI shows children appearing in the process
-    tree shortly after fork).
+    tree shortly after fork).  The watcher applies the dial rules only
+    (a tombstone masks older records, a new port for a known pid is
+    redialed, a duplicate is not); whether a pid is still alive is the
+    caller's policy.
     """
 
-    portfile: PortFile
-    on_record: Callable[[PortRecord], None]
-    poll_interval: float = 0.02
-    #: re-dialing a dead pid's record wastes a connect timeout per poll;
-    #: with gc_interval > 0, dead pids are never dialed and their records
-    #: are reaped every `gc_interval` seconds.  Off (0) by default at
-    #: this layer; :meth:`DebugClient.watch_portfile` turns it on.
-    gc_interval: float = 0.0
-    _seen: Dict[int, PortRecord] = field(default_factory=dict)
-    _next_gc: float = 0.0
-    #: the timer source (``scheduler(delay, fn)``) driving the poll;
-    #: None while stopped
-    _scheduler: Optional[Callable[[float, Callable[[], None]], object]] = None
+    def __init__(self, portfile: PortFile,
+                 on_record: Callable[[PortRecord], None],
+                 poll_interval: float = 0.02):
+        self.portfile = portfile
+        self.on_record = on_record
+        self.poll_interval = poll_interval
+        #: the last record acted on, per pid
+        self._seen: Dict[int, PortRecord] = {}
+        #: the log, held open between polls: while it is open its inode
+        #: number cannot be reused, so a file re-created at the path is
+        #: always told apart from it
+        self._log: Optional[BinaryIO] = None
+        #: bytes of the held log already parsed; always a line end
+        self._offset = 0
+        #: the timer source (``scheduler(delay, fn)``) driving the poll;
+        #: None while stopped
+        self._scheduler: Optional[
+            Callable[[float, Callable[[], None]], object]] = None
+
+    def _read_new(self) -> List[PortRecord]:
+        """Parse the complete lines appended since the last read."""
+        try:
+            st = os.stat(self.portfile.path)
+        except FileNotFoundError:
+            self._close()
+            return []
+        if self._log is not None:
+            held = os.fstat(self._log.fileno())
+            if (held.st_dev, held.st_ino) != (st.st_dev, st.st_ino):
+                self._close()  # replaced: read the new file from 0
+            elif st.st_size < self._offset:
+                self._offset = 0  # truncated
+        if self._log is None:
+            try:
+                self._log = open(self.portfile.path, "rb")
+            except FileNotFoundError:
+                return []
+        self._log.seek(self._offset)
+        chunk = self._log.read()
+        # A torn tail (an append still landing) waits for the next read.
+        end = chunk.rfind(b"\n") + 1
+        self._offset += end
+        records = []
+        for line in chunk[:end].splitlines():
+            if not line.strip():
+                continue
+            try:
+                records.append(
+                    PortRecord.from_json(line.decode("utf-8", "replace")))
+            except RendezvousError as exc:
+                _note(f"skipped {exc}")
+        return records
+
+    def _close(self) -> None:
+        log, self._log, self._offset = self._log, None, 0
+        if log is not None:
+            log.close()
 
     def poll_once(self) -> List[PortRecord]:
         """Process any unseen records; returns the new ones (for tests)."""
-        records = self.portfile.read_all()
+        records = self._read_new()
         # Tombstones first, regardless of file order: a watcher whose
         # first poll already sees announce + tombstone (late attach to
         # an exec'd/daemonized debuggee) must not dial the dead port.
@@ -323,8 +266,7 @@ class PortFileWatcher:
         for record in records:
             if record.tombstoned:
                 continue
-            key = record.pid
-            prev = self._seen.get(key)
+            prev = self._seen.get(record.pid)
             if prev is not None:
                 if record.created_at <= prev.created_at:
                     continue  # older than what we already acted on
@@ -334,24 +276,15 @@ class PortFileWatcher:
                 # its listener onto a fresh port (watchdog), or a
                 # recycled/tombstoned pid announced afresh — the old
                 # coordinates are dead, dial the new ones.
-            if self.gc_interval > 0 and not pid_alive(record.pid):
-                # Announced, then died before we dialed: never attach.
-                # Mark seen so the pid is not re-probed every poll; the
-                # periodic reap below erases the record itself.
-                self._seen[key] = record
-                continue
-            self._seen[key] = record
+            self._seen[record.pid] = record
             fresh.append(record)
         for record in fresh:
-            self.on_record(record)
-        if self.gc_interval > 0:
-            now = time.monotonic()
-            if now >= self._next_gc:
-                self._next_gc = now + self.gc_interval
-                for reaped in self.portfile.reap_dead(probe_ports=True):
-                    # Forget reaped pids: if the pid is ever recycled by
-                    # a *new* debuggee, its fresh record must be dialed.
-                    self._seen.pop(reaped.pid, None)
+            try:
+                self.on_record(record)
+            except Exception as exc:  # noqa: BLE001 - the owner's callback
+                # One bad record must not cost the rest of the batch.
+                _note(f"record callback failed for pid {record.pid}: "
+                      f"{exc!r}")
         return fresh
 
     def start(self, scheduler: Callable[[float, Callable[[], None]],
@@ -377,25 +310,13 @@ class PortFileWatcher:
             return
         try:
             self.poll_once()
-        except RendezvousError:
-            pass  # torn read: heals next pass
-        scheduler = self._scheduler
-        if scheduler is not None:
-            scheduler(self.poll_interval, self._scheduled_tick)
+        finally:
+            scheduler = self._scheduler
+            if scheduler is not None:
+                scheduler(self.poll_interval, self._scheduled_tick)
+            else:
+                self._close()  # stopped mid-poll: drop what it opened
 
     def stop(self) -> None:
         self._scheduler = None
-
-    def wait_for_pid(self, pid: int, timeout: float = 5.0) -> PortRecord:
-        """Block until a record for *pid* appears (tests and CLI attach)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if pid in self._seen:
-                return self._seen[pid]
-            for record in self.portfile.read_all():
-                self._seen.setdefault(record.pid, record)
-            if pid in self._seen:
-                return self._seen[pid]
-            time.sleep(self.poll_interval)
-        raise RendezvousError(f"no port record for pid {pid} "
-                              f"within {timeout:.1f}s")
+        self._close()

@@ -73,6 +73,19 @@ class TestChildRendezvous:
         parent_record = next(r for r in records if r.pid == os.getpid())
         assert child_record.port != parent_record.port
 
+    def test_child_stop_keeps_the_runs_portfile(self, dionea):
+        """Only the process that started the run removes its port file:
+        a child's ``stop()`` (``dionea run`` calls it when the script
+        ends) must not take the rendezvous from its parent and
+        siblings."""
+        pid = os.fork()
+        if pid == 0:
+            dionea.stop()
+            os._exit(0)
+        assert wait_child(pid) == 0
+        assert os.path.exists(dionea.portfile.path)
+        assert os.getpid() in [r.pid for r in dionea.portfile.read_all()]
+
 
 class TestInheritedBreakpoints:
     def test_child_stops_at_parent_breakpoint(self, dionea,

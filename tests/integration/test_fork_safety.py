@@ -37,10 +37,9 @@ from tests.conftest import fork_while_held, wait_child, wait_until
 pytestmark = pytest.mark.forks
 
 #: Every lock phase C touches, as an attribute path from the Dionea
-#: facade ("()": a context manager to call).  Each is taken in ordinary
-#: use by debuggee threads: the watchpoint lock on every traced line
-#: while a watch is set, the wait-for graph on every blocking repro.mp
-#: wait, the port file's sidecar lock on every announce.
+#: facade.  Each is taken in ordinary use by debuggee threads: the
+#: watchpoint lock on every traced line while a watch is set, the
+#: wait-for graph on every blocking repro.mp wait.
 INHERITED_LOCKS = [
     "server.engine._lock",
     "server.engine.controller._lock",
@@ -50,8 +49,6 @@ INHERITED_LOCKS = [
     "server._detach_lock",
     "server.output_capture._lock",
     "deadlock.graph._lock",
-    "portfile._write_lock",
-    "portfile._flocked()",
 ]
 
 
@@ -93,11 +90,8 @@ def test_child_announces_while_a_thread_holds(path, portfile_path):
     debugger = Dionea(program="held-lock", portfile_path=portfile_path,
                       park_timeout=15.0).start()
     try:
-        lock = operator.attrgetter(path.rstrip("()"))(debugger)
-        if path.endswith("()"):
-            lock = lock()
-        else:
-            assert lock in locks._LOCKS
+        lock = operator.attrgetter(path)(debugger)
+        assert lock in locks._LOCKS
 
         def child():
             assert any(r.pid == os.getpid()

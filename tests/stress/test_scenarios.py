@@ -559,9 +559,6 @@ def _server_sigkilled_mid_command(ctx):
     assert lost, "EV_SESSION_LOST never reached the client callback"
 
     assert ctx.wait_child(child, timeout=10.0) == -9  # SIGKILL
-    # The liveness GC reaps the corpse's rendezvous record.
-    reaped = portfile.reap_dead(min_age=0.0)
-    assert child in [r.pid for r in reaped]
     ctx.details["elapsed"] = elapsed
 
 

@@ -99,6 +99,7 @@ class TestPortFileWatcher:
         pf.announce(record(pid=12))
         assert [r.pid for r in watcher.poll_once()] == [12]
         assert [r.pid for r in seen] == [11, 12]
+        watcher.stop()
 
     def test_background_thread_delivers(self, tmp_path, waiter, scheduler):
         pf = PortFile(str(tmp_path / "ports"))
@@ -140,26 +141,6 @@ class TestPortFileWatcher:
         finally:
             watcher.stop()
 
-    def test_wait_for_pid(self, tmp_path):
-        pf = PortFile(str(tmp_path / "ports"))
-        watcher = PortFileWatcher(portfile=pf, on_record=lambda r: None)
-
-        def announce_later():
-            time.sleep(0.05)
-            pf.announce(record(pid=42))
-
-        thread = threading.Thread(target=announce_later)
-        thread.start()
-        rec = watcher.wait_for_pid(42, timeout=2.0)
-        thread.join()
-        assert rec.pid == 42
-
-    def test_wait_for_pid_times_out(self, tmp_path):
-        pf = PortFile(str(tmp_path / "ports"))
-        watcher = PortFileWatcher(portfile=pf, on_record=lambda r: None)
-        with pytest.raises(RendezvousError):
-            watcher.wait_for_pid(999, timeout=0.1)
-
     def test_corrupt_line_does_not_kill_watcher(self, tmp_path, waiter,
                                                 scheduler):
         pf = PortFile(str(tmp_path / "ports"))
@@ -171,14 +152,140 @@ class TestPortFileWatcher:
             with open(pf.path, "a", encoding="utf-8") as fh:
                 fh.write("garbage line\n")
             time.sleep(0.05)
-            # A valid record written later must still be delivered...
-            # after repairing the file (real writers only append whole
-            # JSON lines; a corrupt line would keep raising).
+            # Replace the file: a re-created file may take the unlinked
+            # one's inode number, and a watcher that let go of the old
+            # file between polls would resume at its offset, mid-record.
+            # Holding it open keeps the two numbers apart.
             os.unlink(pf.path)
             pf.announce(record(pid=5))
             waiter(lambda: len(seen) == 1, message="recovery after corrupt")
         finally:
             watcher.stop()
+
+    def test_raising_callback_does_not_stop_watching(self, tmp_path, waiter,
+                                                     scheduler):
+        pf = PortFile(str(tmp_path / "ports"))
+        pf.announce(record(pid=1))
+        pf.announce(record(pid=2))
+        delivered = []
+
+        def on_record(rec):
+            delivered.append(rec.pid)
+            if rec.pid == 1:
+                raise RuntimeError("callback bug")
+
+        watcher = PortFileWatcher(portfile=pf, on_record=on_record,
+                                  poll_interval=0.005)
+        watcher.start(scheduler)
+        try:
+            waiter(lambda: delivered == [1, 2],
+                   message="the rest of the batch")
+            pf.announce(record(pid=3))
+            waiter(lambda: delivered == [1, 2, 3],
+                   message="a record after the raise")
+        finally:
+            watcher.stop()
+
+
+class TestLogReader:
+    """The watcher reads the log by offset: only what was appended."""
+
+    def test_poll_parses_only_the_new_line(self, tmp_path, monkeypatch):
+        pf = PortFile(str(tmp_path / "ports"))
+        for pid in range(1, 41):
+            pf.announce(record(pid=pid))
+        watcher = PortFileWatcher(portfile=pf, on_record=lambda r: None)
+        assert len(watcher.poll_once()) == 40
+        parsed = []
+        parse = PortRecord.from_json.__func__
+
+        def counting(cls, line):
+            parsed.append(line)
+            return parse(cls, line)
+
+        monkeypatch.setattr(PortRecord, "from_json", classmethod(counting))
+        pf.announce(record(pid=41))
+        assert [r.pid for r in watcher.poll_once()] == [41]
+        assert len(parsed) == 1
+        watcher.stop()
+
+    def test_torn_tail_waits_for_its_newline(self, tmp_path):
+        pf = PortFile(str(tmp_path / "ports"))
+        seen = []
+        watcher = PortFileWatcher(portfile=pf, on_record=seen.append)
+        line = (record(pid=9).to_json() + "\n").encode("utf-8")
+        fd = os.open(pf.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o600)
+        try:
+            os.write(fd, line[:20])
+            assert watcher.poll_once() == []
+            os.write(fd, line[20:])
+        finally:
+            os.close(fd)
+        assert [r.pid for r in watcher.poll_once()] == [9]
+        assert watcher.poll_once() == []
+        assert [r.pid for r in seen] == [9]
+        watcher.stop()
+
+    def test_corrupt_line_between_records_is_skipped(self, tmp_path):
+        pf = PortFile(str(tmp_path / "ports"))
+        seen = []
+        watcher = PortFileWatcher(portfile=pf, on_record=seen.append)
+        pf.announce(record(pid=1))
+        with open(pf.path, "a", encoding="utf-8") as fh:
+            fh.write("garbage line\n")
+        pf.announce(record(pid=2))
+        assert [r.pid for r in watcher.poll_once()] == [1, 2]
+        pf.announce(record(pid=3))
+        assert [r.pid for r in watcher.poll_once()] == [3]
+        assert [r.pid for r in seen] == [1, 2, 3]
+        watcher.stop()
+
+    def test_truncated_file_is_read_from_its_start(self, tmp_path):
+        pf = PortFile(str(tmp_path / "ports"))
+        seen = []
+        watcher = PortFileWatcher(portfile=pf, on_record=seen.append)
+        pf.announce(record(pid=1))
+        pf.announce(record(pid=2))
+        watcher.poll_once()
+        os.truncate(pf.path, 0)
+        pf.announce(record(pid=3))
+        assert [r.pid for r in watcher.poll_once()] == [3]
+        assert [r.pid for r in seen] == [1, 2, 3]
+        watcher.stop()
+
+    def test_stop_closes_the_held_file(self, tmp_path):
+        pf = PortFile(str(tmp_path / "ports"))
+        pf.announce(record(pid=1))
+        watcher = PortFileWatcher(portfile=pf, on_record=lambda r: None)
+        watcher.poll_once()
+        held = watcher._log
+        assert held is not None and not held.closed
+        watcher.stop()
+        assert held.closed
+        assert watcher._log is None
+
+    def test_removed_file_is_let_go(self, tmp_path):
+        pf = PortFile(str(tmp_path / "ports"))
+        pf.announce(record(pid=1))
+        watcher = PortFileWatcher(portfile=pf, on_record=lambda r: None)
+        watcher.poll_once()
+        held = watcher._log
+        pf.remove()
+        assert watcher.poll_once() == []
+        assert held.closed
+        assert watcher._log is None
+
+
+def test_started_and_stopped_dionea_leaves_no_file(tmp_path):
+    from repro.core import Dionea
+
+    debugger = Dionea(program="tidy",
+                      portfile_path=str(tmp_path / "ports.jsonl"),
+                      park_timeout=15.0)
+    debugger.start()
+    assert os.listdir(tmp_path) == ["ports.jsonl"]
+    debugger.stop()
+    assert os.listdir(tmp_path) == []
 
 
 def test_default_path_is_per_run():
@@ -209,58 +316,28 @@ class TestPidAlive:
         assert not pid_alive(pid)
 
 
-class TestReapDead:
-    def test_old_dead_record_reaped_live_kept(self, tmp_path):
-        pf = PortFile(str(tmp_path / "ports"))
-        stale = PortRecord(pid=99999999, parent_pid=1, host="127.0.0.1",
-                           port=1, created_at=time.time() - 60)
-        live = record(pid=os.getpid())
-        pf.announce(stale)
-        pf.announce(live)
-        reaped = pf.reap_dead(min_age=5.0)
-        assert [r.pid for r in reaped] == [99999999]
-        assert [r.pid for r in pf.read_all()] == [os.getpid()]
-
-    def test_min_age_protects_newborns(self, tmp_path):
-        """A freshly announced record is never a GC candidate, even if
-        its pid probe says dead (the child may not have drawn breath)."""
-        pf = PortFile(str(tmp_path / "ports"))
-        fresh = PortRecord(pid=99999999, parent_pid=1, host="127.0.0.1",
-                           port=1, created_at=time.time())
-        pf.announce(fresh)
-        assert pf.reap_dead(min_age=5.0) == []
-        assert len(pf.read_all()) == 1
-
-    def test_noop_reap_leaves_file_untouched(self, tmp_path):
-        pf = PortFile(str(tmp_path / "ports"))
-        pf.announce(record(pid=os.getpid()))
-        before = os.stat(pf.path).st_mtime_ns
-        assert pf.reap_dead(min_age=0.0) == []
-        assert os.stat(pf.path).st_mtime_ns == before
-
-
 class TestWatcherLiveness:
-    def test_dead_record_never_dialed_and_reaped(self, tmp_path):
+    def test_dead_record_never_dialed(self, tmp_path, waiter):
+        from repro.client import DebugClient
+
         pf = PortFile(str(tmp_path / "ports"))
-        dead = PortRecord(pid=99999999, parent_pid=1, host="127.0.0.1",
-                          port=1, created_at=time.time() - 60)
-        live = record(pid=os.getpid())
-        pf.announce(dead)
-        pf.announce(live)
-        seen = []
-        watcher = PortFileWatcher(portfile=pf, on_record=seen.append,
-                                  gc_interval=0.001)
-        fresh = watcher.poll_once()
-        assert [r.pid for r in fresh] == [os.getpid()]
-        assert [r.pid for r in seen] == [os.getpid()]
-        # the corpse was reaped from the file and forgotten, so a
-        # recycled pid's future record would be dialed afresh
-        assert [r.pid for r in pf.read_all()] == [os.getpid()]
-        assert 99999999 not in watcher._seen
+        pf.announce(PortRecord(pid=99999999, parent_pid=1, host="127.0.0.1",
+                               port=5000, created_at=time.time() - 60))
+        pf.announce(record(pid=os.getppid(), port=5001))
+        pf.tombstone(os.getppid(), reason="exec")
+        pf.announce(record(pid=os.getpid(), port=5002))
+        dialed = []
+        with DebugClient() as client:
+            client.attach = lambda host, port, **kw: dialed.append(port)
+            client.watch_portfile(pf, poll_interval=0.005)
+            waiter(lambda: dialed, message="the live record's dial")
+        # the records share one poll, so the dead pid's came first
+        assert dialed == [5002]
 
     def test_gc_off_by_default_dials_everything(self, tmp_path):
-        """The primitive layer stays policy-free: without gc_interval,
-        even a dead pid's record is delivered (tests forge these)."""
+        """The watcher stays policy-free: even a dead pid's record is
+        delivered (tests forge these); declining to dial it is the
+        client's call."""
         pf = PortFile(str(tmp_path / "ports"))
         dead = PortRecord(pid=99999999, parent_pid=1, host="127.0.0.1",
                           port=1, created_at=time.time() - 60)
@@ -270,6 +347,7 @@ class TestWatcherLiveness:
         watcher.poll_once()
         assert [r.pid for r in seen] == [99999999]
         assert len(pf.read_all()) == 1
+        watcher.stop()
 
 
 class TestTombstones:
@@ -281,6 +359,7 @@ class TestTombstones:
         watcher = PortFileWatcher(portfile=pf, on_record=seen.append)
         assert watcher.poll_once() == []
         assert seen == []
+        watcher.stop()
 
     def test_reannounce_after_tombstone_is_dialed(self, tmp_path):
         """A recycled (or re-attached) pid announcing after its own
@@ -298,17 +377,7 @@ class TestTombstones:
         pf.announce(fresh)
         watcher.poll_once()
         assert [(r.pid, r.port) for r in seen] == [(pid, 5000), (pid, 5001)]
-
-    def test_reap_drops_tombstone_and_covered_records(self, tmp_path):
-        """Tombstoned pids are reaped regardless of age or liveness —
-        the tombstone says the debugger is gone for good."""
-        pf = PortFile(str(tmp_path / "ports"))
-        pf.announce(record(pid=os.getpid()))  # alive AND fresh
-        pf.tombstone(os.getpid(), reason="detach")
-        pf.announce(record(pid=123456789, port=6000))
-        reaped = pf.reap_dead(min_age=3600.0)
-        assert sorted({r.pid for r in reaped}) == [os.getpid()]
-        assert [r.pid for r in pf.read_all()] == [123456789]
+        watcher.stop()
 
     def test_tombstone_state_roundtrips(self):
         rec = PortRecord(pid=7, parent_pid=1, host="", port=0,
@@ -326,67 +395,6 @@ class TestTombstones:
         assert not PortRecord.from_json(rec.to_json()).tombstoned
 
 
-class TestPortProbeGC:
-    def test_execd_pid_reaped_after_two_strikes(self, tmp_path):
-        """pid alive but debug port refusing: the debuggee exec'd away
-        without a tombstone.  Two consecutive failed probes condemn it
-        (one strike could be a watchdog mid-heal)."""
-        import socket
-        placeholder = socket.socket()
-        placeholder.bind(("127.0.0.1", 0))
-        dead_port = placeholder.getsockname()[1]
-        placeholder.close()  # nothing listens here any more
-        pf = PortFile(str(tmp_path / "ports"))
-        execd = PortRecord(pid=os.getpid(), parent_pid=1, host="127.0.0.1",
-                           port=dead_port, created_at=time.time() - 60)
-        pf.announce(execd)
-        assert pf.reap_dead(min_age=5.0, probe_ports=True) == []  # strike 1
-        reaped = pf.reap_dead(min_age=5.0, probe_ports=True)      # strike 2
-        assert [r.pid for r in reaped] == [os.getpid()]
-        assert pf.read_all() == []
-
-    def test_listening_port_never_struck(self, tmp_path):
-        import socket
-        server = socket.socket()
-        server.bind(("127.0.0.1", 0))
-        server.listen(1)
-        try:
-            port = server.getsockname()[1]
-            pf = PortFile(str(tmp_path / "ports"))
-            live = PortRecord(pid=os.getpid(), parent_pid=1,
-                              host="127.0.0.1", port=port,
-                              created_at=time.time() - 60)
-            pf.announce(live)
-            for _ in range(3):
-                assert pf.reap_dead(min_age=5.0, probe_ports=True) == []
-            assert len(pf.read_all()) == 1
-        finally:
-            server.close()
-
-    def test_successful_probe_clears_strikes(self, tmp_path):
-        """A watchdog heal between probes resets the clock: strike,
-        then success, then strike again must NOT reap."""
-        import socket
-        pf = PortFile(str(tmp_path / "ports"))
-        placeholder = socket.socket()
-        placeholder.bind(("127.0.0.1", 0))
-        port = placeholder.getsockname()[1]
-        placeholder.close()
-        rec = PortRecord(pid=os.getpid(), parent_pid=1, host="127.0.0.1",
-                         port=port, created_at=time.time() - 60)
-        pf.announce(rec)
-        assert pf.reap_dead(min_age=5.0, probe_ports=True) == []  # strike 1
-        server = socket.socket()
-        server.bind(("127.0.0.1", port))
-        server.listen(1)
-        try:
-            assert pf.reap_dead(min_age=5.0, probe_ports=True) == []  # clear
-        finally:
-            server.close()
-        assert pf.reap_dead(min_age=5.0, probe_ports=True) == []  # strike 1
-        assert len(pf.read_all()) == 1
-
-
 class TestWatcherRedial:
     def test_new_port_for_known_pid_is_redialed(self, tmp_path):
         """Watchdog heal: same pid announces fresh coordinates — the
@@ -402,6 +410,7 @@ class TestWatcherRedial:
         pf.announce(healed)
         watcher.poll_once()
         assert [(r.pid, r.port) for r in seen] == [(pid, 5000), (pid, 5001)]
+        watcher.stop()
 
     def test_duplicate_announce_not_redialed(self, tmp_path):
         pf = PortFile(str(tmp_path / "ports"))
@@ -415,3 +424,4 @@ class TestWatcherRedial:
         pf.announce(dup)
         watcher.poll_once()
         assert len(seen) == 1
+        watcher.stop()
