@@ -28,7 +28,8 @@ from ..tracing.frames import StackCapture
 from ..util import locks
 from ..util.errors import ReproError, SessionError, ViewError
 from ..util.ids import IdAllocator, UEId
-from ..util.portfile import PortFile, PortFileWatcher, PortRecord, pid_alive
+from ..util.portfile import (PortFile, PortFileWatcher, PortRecord,
+                             drain_bell, pid_alive)
 from ..util.reactor import Reactor
 from .session import DebugSession, PendingCall
 from .view import DebugView
@@ -67,6 +68,10 @@ class DebugClient:
         self._session_ids = IdAllocator("s")
         self._view_ids = IdAllocator("v")
         self._watcher: Optional[PortFileWatcher] = None
+        #: a doorbell poll is queued on the dispatcher and not yet begun;
+        #: only the loop thread tests and sets it and only the
+        #: dispatcher clears it, so it needs no lock
+        self._bell_poll_queued = False
         self._active_view: Optional[DebugView] = None
         self.on_stop = on_stop
         self.on_new_session = on_new_session
@@ -137,16 +142,27 @@ class DebugClient:
         A record whose pid is already dead is never dialed (each dial
         would eat a connect timeout).
 
-        The poll rides the shared reactor's timer wheel — the wheel
-        fires the tick, the dispatcher thread runs the poll and any
-        dials (a dial blocks on connect, which the loop thread must
-        never do) — so watching adds zero threads.
+        The client binds the file's doorbell and polls as soon as an
+        announce rings it; the timed poll every *poll_interval* is the
+        safety net, and all that is left where the bind fails (another
+        client already watches this file, or no bell off Linux).  The
+        bell is one more reader on the shared reactor and the timed
+        poll rides its timer wheel; both kinds of poll, and any dials
+        (a dial blocks on connect, which the loop thread must never
+        do), run on the dispatcher thread, so watching adds zero
+        threads.
         """
         if self._watcher is not None:
             raise SessionError("already watching a port file")
         self._watcher = PortFileWatcher(
             portfile=portfile, on_record=self._on_port_record,
             poll_interval=poll_interval)
+        # Bound before the first poll: a record appended before the
+        # bind is in the file that poll reads, one appended after it
+        # rings the bell.
+        bell = portfile.bind_bell()
+        if bell is not None:
+            self.reactor.add_reader(bell, lambda: self._on_bell(bell))
         self._watcher.start(scheduler=self._schedule_poll)
 
     def _schedule_poll(self, delay: float,
@@ -155,13 +171,32 @@ class DebugClient:
         return self.reactor.call_later(
             delay, lambda: self.reactor.defer(fn))
 
+    def _on_bell(self, bell) -> None:
+        """The doorbell rang (loop thread): queue one poll on the
+        dispatcher unless one is queued already, so a burst of rings
+        costs one poll."""
+        drain_bell(bell)
+        if not self._bell_poll_queued:
+            self._bell_poll_queued = True
+            self.reactor.defer(self._bell_poll)
+
+    def _bell_poll(self) -> None:
+        # Cleared before the poll starts: a ring during it queues the next.
+        self._bell_poll_queued = False
+        watcher = self._watcher
+        if watcher is not None:
+            watcher.poll_now()
+
     def _on_port_record(self, record: PortRecord) -> None:
+        """Dial *record* (dispatcher thread, inside a watcher poll)."""
+        self._forget_exited()
         with self._lock:
             existing = self._sessions.get(record.pid)
             if existing is not None and not existing.closed:
                 return
         if not pid_alive(record.pid):
-            return  # announced, then died before we dialed
+            self._forget(record.pid)  # announced, then died before we dialed
+            return
         try:
             self.attach(record.host, record.port)
         except (ReproError, OSError) as exc:
@@ -169,6 +204,25 @@ class DebugClient:
             # failed auto-attach must not kill the watcher.
             debug_event("client",
                         f"auto-attach to pid {record.pid} failed: {exc}")
+
+    def _forget_exited(self) -> None:
+        """Drop the closed session of every pid that no longer exists.
+
+        A closed session of a live pid stays: :meth:`reattach` needs its
+        token and breakpoints.  A zombie is alive until it is reaped.
+        """
+        with self._lock:
+            gone = [pid for pid, session in self._sessions.items()
+                    if session.closed and not pid_alive(pid)]
+            for pid in gone:
+                del self._sessions[pid]
+        for pid in gone:
+            self._forget(pid)
+
+    def _forget(self, pid: int) -> None:
+        watcher = self._watcher
+        if watcher is not None:
+            watcher.forget(pid)
 
     # -- lifecycle -------------------------------------------------------------------
 

@@ -12,6 +12,14 @@ a single ``O_APPEND`` ``write(2)``, so concurrent children never
 interleave and no writer takes a lock.  The watcher reads it by offset:
 each poll parses only the complete lines appended since the last one.
 Only the process that started the run removes the file.
+
+After each append the writer rings a *doorbell*: one content-free
+datagram to an abstract ``AF_UNIX`` name derived from the file's path
+(Linux only).  A watching client binds that name and polls the file as
+soon as the bell rings instead of at its next timed poll.  The datagram
+means only "look now": the file stays the record of truth and the timed
+poll the safety net, so a lost, stray or unbindable bell costs latency,
+never a record.
 """
 
 from __future__ import annotations
@@ -19,8 +27,11 @@ from __future__ import annotations
 import errno
 import json
 import os
+import socket
+import sys
 import tempfile
 import time
+import zlib
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Dict, List, Optional
 
@@ -33,6 +44,10 @@ from .errors import RendezvousError
 #: alive, but there is nothing to dial there any more.
 STATE_LIVE = "live"
 STATE_TOMBSTONE = "tombstone"
+
+#: The doorbell needs Linux's abstract ``AF_UNIX`` namespace; elsewhere
+#: nobody rings and watchers rely on the timed poll alone.
+BELL_SUPPORTED = sys.platform.startswith("linux")
 
 
 @dataclass(frozen=True)
@@ -85,6 +100,32 @@ def default_portfile_path(run_id: str) -> str:
     return os.path.join(tempfile.gettempdir(), f"dionea-ports-{run_id}.jsonl")
 
 
+def bell_address(path: str) -> bytes:
+    """The doorbell's abstract ``AF_UNIX`` name for the port file at
+    *path*.  An abstract name creates no file (nothing to orphan) and
+    has no ``sun_path`` length limit; ``zlib.crc32`` keeps ``hashlib``
+    (3.5 MiB of resident memory) out of the debuggee."""
+    return b"\0dionea-bell-%08x" % zlib.crc32(
+        os.fsencode(os.path.abspath(path)))
+
+
+def _bell_socket() -> socket.socket:
+    return socket.socket(socket.AF_UNIX,
+                         socket.SOCK_DGRAM | socket.SOCK_NONBLOCK)
+
+
+def drain_bell(bell: socket.socket) -> None:
+    """Read every datagram pending on a bound doorbell; never blocks.
+
+    Runs on the client's loop thread, which only needs to know that
+    the bell rang, not how often."""
+    try:
+        while True:
+            bell.recv(64)
+    except OSError:  # BlockingIOError once the queue is empty
+        pass
+
+
 def pid_alive(pid: int) -> bool:
     """Liveness probe: does *pid* exist right now?
 
@@ -108,19 +149,25 @@ class PortFile:
     Writing happens in the *child-side fork handler* (one record per fork);
     reading happens in the client's :class:`PortFileWatcher`.  Both sides
     may live in different processes, so coordination goes through the
-    filesystem only.
+    filesystem; the doorbell only tells a watcher when to look.
     """
 
     def __init__(self, path: str):
         self.path = path
+        #: the doorbell writers ring after each append
+        self.bell = bell_address(path)
 
     # -- writer side (debug server, child fork handler) --------------------
 
     def announce(self, record: PortRecord) -> None:
-        """Append one record with a single ``O_APPEND`` write.
+        """Append one record with a single ``O_APPEND`` write, then ring
+        the doorbell.
 
         Each such write of a record far below ``PIPE_BUF`` lands whole at
         the end of the file, so concurrent children never interleave.
+        The ring never fails the announce: with nobody bound
+        (``ECONNREFUSED``), a full queue (``EAGAIN``) or no bell on this
+        platform, the watcher finds the record at its next timed poll.
         """
         data = (record.to_json() + "\n").encode("utf-8")
         if len(data) > 4096:
@@ -131,6 +178,12 @@ class PortFile:
             os.write(fd, data)
         finally:
             os.close(fd)
+        if BELL_SUPPORTED:
+            try:
+                with _bell_socket() as bell:
+                    bell.sendto(b"\0", self.bell)
+            except OSError:
+                pass
 
     def tombstone(self, pid: int, host: str = "", port: int = 0,
                   reason: str = "detached") -> None:
@@ -147,6 +200,22 @@ class PortFile:
             created_at=time.time(), state=STATE_TOMBSTONE, reason=reason))
 
     # -- reader side -------------------------------------------------------
+
+    def bind_bell(self) -> Optional[socket.socket]:
+        """Bind this file's doorbell for reading: a non-blocking socket,
+        or None where another watcher already holds the name (a second
+        client on the same file) or there is no bell (off Linux)."""
+        if not BELL_SUPPORTED:
+            return None
+        bell = None
+        try:
+            bell = _bell_socket()
+            bell.bind(self.bell)
+        except OSError:
+            if bell is not None:
+                bell.close()
+            return None
+        return bell
 
     def read_all(self) -> List[PortRecord]:
         """Read every record currently in the file (possibly empty)."""
@@ -180,13 +249,16 @@ class PortFileWatcher:
     """Reads a :class:`PortFile` by offset and fires a callback for each
     new record.
 
-    A tiny poll loop instead of inotify keeps the watcher portable and
-    dependency-free; the poll interval bounds attach latency for new
-    children (the paper's GUI shows children appearing in the process
-    tree shortly after fork).  The watcher applies the dial rules only
-    (a tombstone masks older records, a new port for a known pid is
-    redialed, a duplicate is not); whether a pid is still alive is the
-    caller's policy.
+    Polls come from two sources, both run by the owner on one thread:
+    a timed tick every *poll_interval* (the safety net, portable and
+    dependency-free) and, where the owner bound the file's doorbell
+    (:meth:`PortFile.bind_bell`), a :meth:`poll_now` when it rings, so
+    a new child appears in the process tree as soon as it announces
+    rather than at the next tick.  The watcher applies the dial rules
+    only (a tombstone masks older records, a new port for a known pid
+    is redialed, a duplicate is not); whether a pid is still alive is
+    the caller's policy, and :meth:`forget` is how the caller drops a
+    pid it has found gone.
     """
 
     def __init__(self, portfile: PortFile,
@@ -287,6 +359,12 @@ class PortFileWatcher:
                       f"{exc!r}")
         return fresh
 
+    def forget(self, pid: int) -> None:
+        """Drop what the watcher remembers of *pid* (the caller found it
+        gone).  Call it on the thread that polls: a later record for the
+        pid, which only a recycled pid can announce, is then dialed."""
+        self._seen.pop(pid, None)
+
     def start(self, scheduler: Callable[[float, Callable[[], None]],
                                         object]) -> None:
         """Begin polling on *scheduler*: any ``scheduler(delay, fn)``
@@ -304,18 +382,27 @@ class PortFileWatcher:
         self._scheduler = scheduler
         scheduler(0.0, self._scheduled_tick)
 
-    def _scheduled_tick(self) -> None:
-        """One scheduled poll; re-arms itself until stopped."""
+    def poll_now(self) -> None:
+        """One poll, the path timed ticks and doorbell rings share.
+
+        Does nothing once stopped; a poll that :meth:`stop` overtakes
+        closes what it opened."""
         if self._scheduler is None:
             return
         try:
             self.poll_once()
         finally:
+            if self._scheduler is None:
+                self._close()
+
+    def _scheduled_tick(self) -> None:
+        """One scheduled poll; re-arms itself until stopped."""
+        try:
+            self.poll_now()
+        finally:
             scheduler = self._scheduler
             if scheduler is not None:
                 scheduler(self.poll_interval, self._scheduled_tick)
-            else:
-                self._close()  # stopped mid-poll: drop what it opened
 
     def stop(self) -> None:
         self._scheduler = None

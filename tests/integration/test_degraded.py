@@ -130,6 +130,7 @@ class TestWatchdogHeal:
         server.watchdog.start()
         old_port = debugger.port
         old_session = live_session(client)
+        wedged = server._reactor._thread  # noqa: SLF001 - joined below
         with faults.armed("server.request.dispatch",
                           faults.Fault.delay(2.0),
                           faults.Schedule.on_hits(1)):
@@ -145,6 +146,10 @@ class TestWatchdogHeal:
                    timeout=10.0, message="client redial onto healed port")
         assert live_session(client).request("breaks") == []
         assert not server.detached
+        # The abandoned loop leaves once the delayed dispatch returns;
+        # a dionea-listener thread must not outlive the test.
+        wedged.join(10.0)
+        assert not wedged.is_alive()
 
     def test_heal_survives_repeated_wedges(self, attached):
         debugger, client = attached

@@ -219,3 +219,65 @@ class TestIsolation:
         assert len(tokens) == 2
         for pid in pids:
             wait_child(pid)
+
+
+class TestDoorbell:
+    """A child's announce rings the watching client's doorbell: it is
+    followed at once, not at the next timed poll."""
+
+    def test_child_followed_without_the_timed_poll(self, dionea, waiter):
+        with DebugClient() as client:
+            client.watch_portfile(dionea.portfile, poll_interval=3600)
+            waiter(lambda: client.sessions(), message="attach to parent")
+            pid = os.fork()
+            if pid == 0:
+                time.sleep(0.3)
+                os._exit(0)
+            session = client.session_for_pid(pid, timeout=5)
+            assert session.pid == pid
+        assert wait_child(pid) == 0
+
+    def test_second_client_follows_through_the_timed_poll(self, dionea,
+                                                          waiter):
+        with DebugClient() as first, DebugClient() as second:
+            first.attach = lambda host, port, **kw: None  # binds, never dials
+            first.watch_portfile(dionea.portfile, poll_interval=3600)
+            second.watch_portfile(dionea.portfile)  # its bind is refused
+            assert dionea.portfile.bind_bell() is None
+            waiter(lambda: second.sessions(), message="attach to parent")
+            pid = os.fork()
+            if pid == 0:
+                time.sleep(0.3)
+                os._exit(0)
+            assert second.session_for_pid(pid, timeout=5).pid == pid
+        assert wait_child(pid) == 0
+
+
+class TestExitedChildren:
+    def test_client_forgets_exited_children(self, dionea, watching_client,
+                                            waiter):
+        """Neither the client's sessions nor the watcher's records keep
+        a pid that has exited and been reaped."""
+        exited = []
+        for _ in range(10):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(w)
+                os.read(r, 1)  # until the parent closes its end
+                os._exit(0)
+            os.close(r)
+            session = watching_client.session_for_pid(pid, timeout=10)
+            os.close(w)
+            assert wait_child(pid) == 0
+            waiter(lambda: session.closed, message=f"pid {pid} lost")
+            exited.append(pid)
+        pid = os.fork()
+        if pid == 0:
+            time.sleep(0.3)
+            os._exit(0)
+        watching_client.session_for_pid(pid, timeout=10)
+        assert not set(exited) & set(watching_client._sessions)
+        assert not set(exited) & set(watching_client._watcher._seen)
+        assert os.getpid() in watching_client._sessions
+        assert wait_child(pid) == 0

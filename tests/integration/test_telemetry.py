@@ -125,10 +125,19 @@ class TestForkAwareness:
         """The obs reset runs FIRST among child handlers, so the dionea
         child phase's own per-hook duration lands in the child's fresh
         registry instead of being wiped with the parent's shards."""
+        # The child announces from inside phase C, and the client dials
+        # at once, so wait for the child's os.fork() to return: only
+        # then has the registry timed the whole phase.
+        done_r, done_w = os.pipe()
         pid = os.fork()
         if pid == 0:
+            os.close(done_r)
+            os.write(done_w, b"x")
             time.sleep(0.5)
             os._exit(0)
+        os.close(done_w)
+        os.read(done_r, 1)
+        os.close(done_r)
         session = watching_client.session_for_pid(pid, timeout=10)
         snap = session.request("telemetry", {})
         hists = snap["metrics"]["histograms"]

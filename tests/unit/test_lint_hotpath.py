@@ -95,8 +95,13 @@ class TestReactorRule:
         for module, names in lint.REACTOR_HANDLER_MODULES.items():
             path = os.path.join(REPO_ROOT, module)
             assert lint.find_reactor_blocking_calls(path, names) == []
-            assert {"_handle_hello", "_handle_ping", "_handle_request",
-                    "_handle_disconnect"} <= set(names)
+        server = lint.REACTOR_HANDLER_MODULES[
+            os.path.join("src", "repro", "server", "debugserver.py")]
+        assert {"_handle_hello", "_handle_ping", "_handle_request",
+                "_handle_disconnect"} <= set(server)
+        client = lint.REACTOR_HANDLER_MODULES[
+            os.path.join("src", "repro", "client", "client.py")]
+        assert "_on_bell" in client  # the port-file doorbell's reader
 
 
 class TestForkPhaseRule:

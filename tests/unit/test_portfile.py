@@ -2,19 +2,26 @@
 
 import json
 import os
+import socket
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.util.errors import RendezvousError
 from repro.util.portfile import (
     PortFile,
     PortFileWatcher,
     PortRecord,
+    bell_address,
     default_portfile_path,
 )
 from repro.util.reactor import Reactor
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 def record(pid=100, parent=1, port=5000):
@@ -425,3 +432,126 @@ class TestWatcherRedial:
         watcher.poll_once()
         assert len(seen) == 1
         watcher.stop()
+
+
+def run_script(script, *flags):
+    """Run *script* in a fresh interpreter with this tree importable."""
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    return subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+class TestDoorbell:
+    """Each announce rings a datagram doorbell the watching client binds."""
+
+    def test_address_is_abstract_and_names_the_file(self, tmp_path,
+                                                    monkeypatch):
+        path = str(tmp_path / "ports")
+        assert bell_address(path).startswith(b"\0dionea-bell-")
+        assert bell_address(path) != bell_address(path + "2")
+        monkeypatch.chdir(tmp_path)
+        assert bell_address("ports") == bell_address(path)
+
+    def test_announce_with_nobody_bound_raises_nothing(self, tmp_path):
+        pf = PortFile(str(tmp_path / "ports"))
+        pf.announce(record(pid=1))
+        pf.tombstone(1, reason="exec")
+        assert [(r.pid, r.tombstoned) for r in pf.read_all()] == [
+            (1, False), (1, True)]
+        assert os.listdir(tmp_path) == ["ports"]
+
+    def test_announce_and_tombstone_ring(self, tmp_path):
+        pf = PortFile(str(tmp_path / "ports"))
+        bell = pf.bind_bell()
+        try:
+            assert PortFile(pf.path).bind_bell() is None  # one binder
+            pf.announce(record(pid=1))
+            assert bell.recv(64) == b"\0"
+            pf.tombstone(1, reason="exec")
+            assert bell.recv(64) == b"\0"
+            with pytest.raises(BlockingIOError):
+                bell.recv(64)
+        finally:
+            bell.close()
+
+    def test_stray_rings_queue_at_most_one_poll(self, tmp_path, waiter):
+        from repro.client import DebugClient
+
+        pf = PortFile(str(tmp_path / "ports"))
+        pf.announce(record(pid=os.getpid(), port=5000))
+        dialed = []
+        with DebugClient() as client:
+            client.attach = lambda host, port, **kw: dialed.append(port)
+            client.watch_portfile(pf, poll_interval=3600)
+            waiter(lambda: dialed == [5000], message="the first poll")
+            deferred = []
+            defer = client.reactor.defer
+
+            def counting_defer(fn):
+                deferred.append(fn)
+                defer(fn)
+
+            client.reactor.defer = counting_defer
+            # Hold the dispatcher so that no bell poll can start.
+            gate, held = threading.Event(), threading.Event()
+            defer(lambda: (held.set(), gate.wait(10)))
+            assert held.wait(5)
+            with socket.socket(socket.AF_UNIX, socket.SOCK_DGRAM) as stray:
+                stray.settimeout(5)  # waits while the loop drains
+                for _ in range(1000):
+                    stray.sendto(b"?", pf.bell)
+            assert deferred == [client._bell_poll]
+            gate.set()
+            pf.announce(record(pid=os.getpid(), port=5001))
+            waiter(lambda: dialed == [5000, 5001], message="the next record")
+
+    def test_ring_after_stop_or_close_leaves_nothing_open(self, tmp_path):
+        script = f"""
+import gc, os, time
+from repro.client import DebugClient
+from repro.util.portfile import PortFile, PortRecord
+
+pf = PortFile({str(tmp_path / "ports")!r})
+
+def announce(port):
+    pf.announce(PortRecord(pid=os.getpid(), parent_pid=1,
+                           host="127.0.0.1", port=port,
+                           created_at=time.time()))
+
+announce(5000)
+client = DebugClient()
+dialed = []
+client.attach = lambda host, port, **kw: dialed.append(port)
+client.watch_portfile(pf, poll_interval=3600)
+while not dialed:
+    time.sleep(0.01)
+client._watcher.stop()
+announce(5001)  # rings a watcher that has stopped
+time.sleep(0.3)
+client.close()
+announce(5002)  # rings a closed client
+time.sleep(0.1)
+del client
+gc.collect()
+print(dialed)
+"""
+        done = run_script(script, "-X", "dev")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["[5000]"]
+        assert "ResourceWarning" not in done.stderr, done.stderr
+
+    def test_debuggee_never_loads_hashlib(self, tmp_path):
+        script = f"""
+import sys
+from repro.core import Dionea
+
+debugger = Dionea(program="bell",
+                  portfile_path={str(tmp_path / "ports.jsonl")!r})
+debugger.start()
+debugger.server.announce()
+debugger.stop()
+print(sorted({{"hashlib", "_hashlib"}} & set(sys.modules)))
+"""
+        done = run_script(script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["[]"]

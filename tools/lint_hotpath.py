@@ -108,13 +108,15 @@ def find_fastpath_metric_lookups(path: str,
 #: selector timeout.  A casually added ``time.sleep`` or ``sock.recv``
 #: stalls EVERY channel of that loop at once: every attached session on
 #: the client, the debuggee's only listener on the server.  The rule
-#: covers the whole reactor module and the server handlers the loop
-#: calls directly.
+#: covers the whole reactor module, the server handlers the loop calls
+#: directly and the client's port-file doorbell reader (whose drain
+#: lives in repro.util.portfile, like the framing pumps).
 REACTOR_MODULE = os.path.join("src", "repro", "util", "reactor.py")
 REACTOR_HANDLER_MODULES = {
     os.path.join("src", "repro", "server", "debugserver.py"): (
         "_on_messages", "_handle_hello", "_handle_ping",
         "_handle_request", "_handle_disconnect"),
+    os.path.join("src", "repro", "client", "client.py"): ("_on_bell",),
 }
 REACTOR_BANNED_ATTRS = {"sleep", "recv", "recv_into", "sendall",
                         "recvfrom", "accept"}
@@ -470,7 +472,7 @@ def main(argv: list) -> int:
     print(f"lint-hotpath: OK ({', '.join(HOT_PACKAGES)} are "
           f"logging-free; {FASTPATH_FUNCTION} and the code-breakpoint "
           f"hook are obs-free; the reactor "
-          f"and its server handlers have no blocking calls; fork-phase "
+          f"and its handlers have no blocking calls; fork-phase "
           f"bodies have no blocking calls; phase C and the child-side "
           f"resets take no lock; debugger locks come from the factory; "
           f"timeline modules pair wall with monotonic)")
